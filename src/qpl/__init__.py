@@ -15,8 +15,7 @@ from .forms import (COORD_NAMES, GroupElement, InvariantPair, PairOfQuadrics,
                     act, invariants, is_strongly_irreducible,
                     reducibility_case, resolvent_quartic,
                     twist_identity_check)
-from .realgeom import (is_R_soluble, origin_in_convex_hull, real_class,
-                       representative_L, simultaneous_diagonalize)
+from .realgeom import is_R_soluble, real_class, representative_L
 from .localfp import (FpCurve, SolubilityVerdict, curve_four_torsion,
                       curve_from_invariants, fp_points_on_intersection,
                       four_torsion_from_group_order,

@@ -8,11 +8,6 @@ through to any coefficient domain supporting +, -, *, ==).
 from fractions import Fraction
 from itertools import permutations
 
-# Centralized tolerances for the floating-point paths (real geometry).
-DEGENERACY_TOL = 1e-10   # relative: |4I^3 - J^2| <= TOL * max(4|I|^3, J^2, 1)
-ROUNDTRIP_TOL = 1e-8     # diagonalization residuals
-ANGLE_TOL = 1e-9         # angular-gap comparisons against pi
-
 
 class QplError(Exception):
     """Base class for domain errors raised by this package."""
@@ -191,6 +186,26 @@ def det_bareiss(M):
     return sign * A[n - 1][n - 1]
 
 
+def leading_principal_minors(M):
+    """The leading principal minors of a square matrix, in order of size, from
+    one fraction-free (Bareiss) elimination without pivoting.  Stops after
+    the first zero minor, past which elimination without pivoting cannot go.
+    """
+    A = [list(row) for row in M]
+    n = len(A)
+    minors = []
+    prev = 1
+    for k in range(n):
+        minors.append(A[k][k])  # after step k-1, A[k][k] is the (k+1)-th minor
+        if A[k][k] == 0:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = _exact_div(A[i][j] * A[k][k] - A[i][k] * A[k][j], prev)
+        prev = A[k][k]
+    return minors
+
+
 def resultant(f, g):
     """Resultant of two univariate polynomials, coefficient lists highest-first.
 
@@ -260,15 +275,16 @@ def complete_unimodular(v):
     return comp
 
 
-def kernel_mod_p(M, p):
-    """Basis of the right kernel of a matrix over F_p (lists of ints in [0,p))."""
-    n_rows = len(M)
-    n_cols = len(M[0])
-    A = [[M[i][j] % p for j in range(n_cols)] for i in range(n_rows)]
+def _rref_mod_p(M, p):
+    """Reduced row echelon form of M over F_p, and its pivot columns."""
+    A = [[x % p for x in row] for row in M]
+    n_rows, n_cols = len(A), len(A[0])
     pivots = []
-    r = 0
     for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if A[i][c] % p), None)
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
@@ -279,12 +295,17 @@ def kernel_mod_p(M, p):
                 f = A[i][c]
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
+    return A, pivots
+
+
+def kernel_mod_p(M, p):
+    """Basis of the right kernel of a matrix over F_p (lists of ints in [0,p))."""
+    A, pivots = _rref_mod_p(M, p)
+    n_cols = len(A[0])
     basis = []
-    for fc in free:
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
         vec = [0] * n_cols
         vec[fc] = 1
         for i, pc in enumerate(pivots):
@@ -293,18 +314,11 @@ def kernel_mod_p(M, p):
     return basis
 
 
-def solve_2x2_mod_p(M, rhs, p):
-    """All solutions (as a list) of M x = rhs over F_p for a 2x2 system."""
-    det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % p
-    if det:
-        inv = pow(det, -1, p)
-        x = (inv * (M[1][1] * rhs[0] - M[0][1] * rhs[1])) % p
-        y = (inv * (M[0][0] * rhs[1] - M[1][0] * rhs[0])) % p
-        return [(x, y)]
-    sols = []
-    for x in range(p):
-        for y in range(p):
-            if (M[0][0] * x + M[0][1] * y - rhs[0]) % p == 0 and \
-               (M[1][0] * x + M[1][1] * y - rhs[1]) % p == 0:
-                sols.append((x, y))
-    return sols
+def mat_inv_mod(M, p):
+    """Inverse of a square matrix over F_p (entries in [0,p))."""
+    n = len(M)
+    A, pivots = _rref_mod_p([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(M)], p)
+    if pivots != list(range(n)):
+        raise QplError("matrix not invertible mod %d" % p)
+    return [row[n:] for row in A]

@@ -5,8 +5,8 @@ verification), 2 usage error (argparse).  Results are a single JSON
 object on stdout, or CSV with a header row for tabular commands; every
 run also writes a small manifest (command, version, seed, resolved
 parameters, checkpoints, payload digest, timestamps) into the output
-directory.  Flags beat the environment (QPL_SEED, QPL_OUT_DIR,
-QPL_THREADS), which beats built-in defaults.
+directory.  Flags beat the environment (QPL_SEED, QPL_OUT_DIR), which
+beats built-in defaults.
 """
 
 import argparse
@@ -22,10 +22,9 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import QplError
-from .forms import (PairOfQuadrics, invariants, is_strongly_irreducible,
-                    reducibility_case, resolvent_quartic,
-                    twist_identity_check)
-from .quartic import disc_via_resultant, rational_linear_factor
+from .forms import (PairOfQuadrics, invariants, reducibility_case,
+                    resolvent_quartic, twist_identity_check)
+from .quartic import disc_is_zero, disc_via_resultant, rational_linear_factor
 from .realgeom import is_R_soluble, real_class
 from .counting import (count_invariant_pairs, count_invariant_pairs_naive,
                        davenport_check, enumerate_curves, scan_box,
@@ -129,17 +128,17 @@ def cmd_invariants(args):
 
 def cmd_classify(args):
     pair = _parse_pair(args.pair)
-    inv = invariants(pair)
-    f = pair.resolvent_quartic()
+    f = resolvent_quartic(pair)
+    disc_zero = disc_is_zero(f)
     root = rational_linear_factor(f)
     obj = {
-        "disc_zero": inv.scaled_disc == 0,
+        "disc_zero": disc_zero,
         "reducibility_case": reducibility_case(pair),
         "rational_root": list(root) if root is not None else None,
-        "strongly_irreducible": is_strongly_irreducible(pair),
+        "strongly_irreducible": not disc_zero and root is None,
     }
-    if inv.scaled_disc != 0:
-        obj["real_class"] = real_class(pair)
+    if not disc_zero:
+        obj["real_class"] = real_class(f)
         obj["R_soluble"] = is_R_soluble(pair)
     else:
         obj["real_class"] = None

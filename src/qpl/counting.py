@@ -13,7 +13,8 @@ from math import isqrt
 import numpy as np
 
 from .arith import QplError, icbrt, iroot, primes_upto
-from .forms import COORD_NAMES, PairOfQuadrics, invariants, reducibility_case
+from .forms import (COORD_NAMES, PairOfQuadrics, invariants, is_strongly_irreducible,
+                    reducibility_case)
 from .quartic import rational_linear_factor
 
 # ---------------------------------------------------------------------------
@@ -158,12 +159,6 @@ def _predicate_disc_nonzero(pair):
     return invariants(pair).scaled_disc != 0
 
 
-def _predicate_strongly_irreducible(pair):
-    if invariants(pair).scaled_disc == 0:
-        return False
-    return rational_linear_factor(pair.resolvent_quartic()) is None
-
-
 def _predicate_rational_root(pair):
     return rational_linear_factor(pair.resolvent_quartic()) is not None
 
@@ -182,7 +177,7 @@ def _predicate_negative_disc(pair):
 
 PREDICATES = {
     "disc_nonzero": _predicate_disc_nonzero,
-    "strongly_irreducible": _predicate_strongly_irreducible,
+    "strongly_irreducible": is_strongly_irreducible,
     "rational_root": _predicate_rational_root,
     "cusp_condition": _predicate_cusp_condition,
     "positive_disc": _predicate_positive_disc,

@@ -10,7 +10,7 @@ entries 2*a_ii and off-diagonal entries a_ij, so the resolvent
 
 has coefficients in the coordinate domain with no denominators.
 Coordinates may be ints, Fractions, elements of F_p (ints with an
-explicit modulus passed to the functions that need one), floats, or any
+explicit modulus passed to the functions that need one), or any
 commutative-ring objects (symbolic coefficients work through every
 purely algebraic operation here).
 """
@@ -20,8 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arith import (QplError, _PERMS, det_generic, mat_identity, mat_inv_exact,
-                    mat_mul, mat_eq)
-from .quartic import BinaryQuartic, compose_row, quartic_invariants, rational_linear_factor
+                    mat_inv_mod, mat_mul, mat_eq)
+from .quartic import (BinaryQuartic, compose_row, disc_is_zero, quartic_invariants,
+                      rational_linear_factor)
 
 COORD_NAMES = ("a11", "a12", "a13", "a14", "a22", "a23", "a24", "a33", "a34", "a44",
                "b11", "b12", "b13", "b14", "b22", "b23", "b24", "b33", "b34", "b44")
@@ -129,9 +130,6 @@ class PairOfQuadrics:
 
     def reduce_mod(self, m):
         return PairOfQuadrics([c % m for c in self.coords])
-
-    def map_coords(self, fn):
-        return PairOfQuadrics([fn(c) for c in self.coords])
 
     def is_integral(self):
         for c in self.coords:
@@ -292,8 +290,8 @@ class GroupElement:
     def inverse(self):
         if self.modulus:
             p = self.modulus
-            inv2 = _mat_inv_mod(self.g2, p)
-            inv4 = _mat_inv_mod(self.g4, p)
+            inv2 = mat_inv_mod(self.g2, p)
+            inv4 = mat_inv_mod(self.g4, p)
             return GroupElement(inv2, inv4, p)
         return GroupElement(mat_inv_exact(self.g2), mat_inv_exact(self.g4))
 
@@ -327,23 +325,6 @@ class GroupElement:
     def __repr__(self):
         return "GroupElement(g2=%r, g4=%r%s)" % (
             self.g2, self.g4, ", mod %d" % self.modulus if self.modulus else "")
-
-
-def _mat_inv_mod(M, p):
-    n = len(M)
-    A = [[M[i][j] % p for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] % p), None)
-        if piv is None:
-            raise QplError("matrix not invertible mod %d" % p)
-        A[col], A[piv] = A[piv], A[col]
-        inv = pow(A[col][col], -1, p)
-        A[col] = [(x * inv) % p for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
 
 
 def act(g, pair):
@@ -423,7 +404,7 @@ def reducibility_case(pair):
 
 def is_strongly_irreducible(pair):
     """disc != 0 and the resolvent quartic has no root in P^1(Q)."""
-    inv = invariants(pair)
-    if inv.scaled_disc == 0:
+    f = resolvent_quartic(pair)
+    if disc_is_zero(f):
         return False
-    return rational_linear_factor(resolvent_quartic(pair)) is None
+    return rational_linear_factor(f) is None

@@ -4,14 +4,14 @@ Invariants I, J, three independent routes to the discriminant, exact
 rational root search, Sturm-based real root counts, and roots over F_p
 with multiplicities.  Coefficients may live in any commutative ring for
 the symbolic operations; the root-finding operations require exact
-integers or rationals (floats are rationalized first).
+integers or rationals.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
-from .arith import DEGENERACY_TOL, QplError, resultant
+from .arith import QplError, resultant
 
 
 class BinaryQuartic:
@@ -195,7 +195,7 @@ def rational_linear_factor(f):
 
 
 # ---------------------------------------------------------------------------
-# real root counting (exact Sturm chains over Fraction)
+# real roots (Sturm chains of integer polynomials)
 
 
 def _poly_trim(p):
@@ -204,14 +204,20 @@ def _poly_trim(p):
     return p
 
 
-def _poly_rem(f, g):
-    f = _poly_trim(list(f))
-    g = _poly_trim(list(g))
+def _poly_prem(f, g):
+    """A positive multiple of the remainder of f by g (integer coefficient
+    lists): each step scales f by |lc(g)| before cancelling its lead."""
+    lc, s = abs(g[0]), _sgn(g[0])
     while len(f) >= len(g):
-        q = f[0] / g[0]
-        f = [fc - q * gc for fc, gc in zip(f, g)] + f[len(g):]
-        f = _poly_trim(f[1:])  # the leading term cancels exactly
+        q = f[0] * s
+        f = _poly_trim([lc * a - q * b for a, b in zip(f[1:], g[1:])]
+                       + [lc * a for a in f[len(g):]])
     return f
+
+
+def _primitive(p):
+    g = gcd(*p)
+    return [c // g for c in p]
 
 
 def _sign_changes(signs):
@@ -223,41 +229,86 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
+def _sturm_chain(coeffs):
+    """Sturm chain of a squarefree polynomial (coeff list, highest degree
+    first, exact rationals).  Each member is a positive multiple of the
+    classical one, scaled to a primitive integer polynomial."""
+    f = _poly_trim([Fraction(c) for c in coeffs])
+    den = lcm(*(c.denominator for c in f))
+    f = _primitive([int(c * den) for c in f])
+    chain = [f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _poly_prem(chain[-2], chain[-1])]))
+    return [p for p in chain if p]
+
+
+def _hval(p, n, d):
+    """d^deg(p) * p(n/d) for an integer polynomial: the sign of p(n/d) when d > 0."""
+    acc, dk = p[0], d
+    for c in p[1:]:
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
 def real_root_count_poly(coeffs):
     """Number of distinct real roots of a squarefree polynomial (coeff list,
     highest degree first, exact rationals)."""
-    f = _poly_trim([Fraction(c) for c in coeffs])
-    if len(f) <= 1:
-        return 0
-    chain = [f, _poly_trim([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
-    while chain[-1] and len(chain[-1]) > 1:
-        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
-    at_plus = [_sgn(p[0]) for p in chain if p]
-    at_minus = [_sgn(p[0]) * (-1) ** (len(p) - 1) for p in chain if p]
+    chain = _sturm_chain(coeffs)
+    at_plus = [_sgn(p[0]) for p in chain]
+    at_minus = [_sgn(p[0]) * (-1) ** (len(p) - 1) for p in chain]
     return _sign_changes(at_minus) - _sign_changes(at_plus)
+
+
+def real_root_separators(coeffs):
+    """Rationals s_0 < r_1 < s_1 < ... < r_k < s_k interleaving the k distinct
+    real roots r_i of a squarefree polynomial (coeff list, highest degree
+    first, exact rationals).  No s_i is a root.
+
+    Sturm bisection on dyadic points (n, d) = n/d from the Cauchy bound; a
+    split point that is a root is moved towards the left end until it is not.
+    """
+    chain = _sturm_chain(coeffs)
+    f = chain[0]
+
+    def variations(pt):
+        return _sign_changes([_sgn(_hval(p, *pt)) for p in chain])
+
+    def midpoint(lo, hi):
+        d = max(lo[1], hi[1])
+        return (lo[0] * (d // lo[1]) + hi[0] * (d // hi[1]), 2 * d)
+
+    def split(lo, hi, v_lo, v_hi):
+        # v_lo - v_hi roots lie in (lo, hi); neither end is a root
+        if v_lo - v_hi == 1:
+            seps.append(hi)
+        elif v_lo > v_hi:
+            mid = midpoint(lo, hi)
+            while _hval(f, *mid) == 0:
+                mid = midpoint(lo, mid)
+            v_mid = variations(mid)
+            split(lo, mid, v_lo, v_mid)
+            split(mid, hi, v_mid, v_hi)
+
+    # Cauchy: every root has |r| < 1 + max |c_i / c_0|.
+    bound = max((abs(c) for c in f[1:]), default=0) // abs(f[0]) + 2
+    lo, hi = (-bound, 1), (bound, 1)
+    seps = [lo]
+    split(lo, hi, variations(lo), variations(hi))
+    return [Fraction(n, d) for n, d in seps]
 
 
 def real_projective_root_count(f):
     """Distinct real roots of the binary quartic in P^1(R); requires disc != 0."""
-    coeffs = [_rationalize(c) for c in f.coeffs()]
-    n = real_root_count_poly(coeffs)
-    if coeffs[0] == 0:
+    n = real_root_count_poly(f.coeffs())
+    if f.a == 0:
         n += 1  # the root at infinity [1:0]
     return n
 
 
-def _rationalize(c):
-    if isinstance(c, float):
-        return Fraction(c)
-    return Fraction(c)
-
-
 def disc_is_zero(f):
-    """Degeneracy test: exact for exact coefficients, relative tolerance for floats."""
+    """Whether 4I^3 - J^2 (= 27 disc) vanishes."""
     I, J = quartic_invariants(f)
-    if any(isinstance(c, float) for c in f.coeffs()):
-        s = 4 * I ** 3 - J ** 2
-        return abs(s) <= DEGENERACY_TOL * max(4 * abs(I) ** 3, J ** 2, 1.0)
     return 4 * I ** 3 - J ** 2 == 0
 
 
@@ -270,7 +321,7 @@ class QuarticClassification:
 
 def real_classification(f):
     degenerate = disc_is_zero(f)
-    has_root = rational_linear_factor(f.map_coeffs(_rationalize)) is not None
+    has_root = rational_linear_factor(f) is not None
     if degenerate:
         return QuarticClassification(None, has_root, True)
     n_real = real_projective_root_count(f)

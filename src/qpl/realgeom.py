@@ -1,28 +1,24 @@
 """Real geometry of pencils: real root classes of the resolvent,
-simultaneous diagonalization over R, solubility of the pair over R, and
-the standard orbit representatives for each real class.
+solubility of the pair over R, and the standard orbit representatives for
+each real class.
 
-Exact inputs are classified exactly (Sturm chains); the diagonalization
-itself runs in floating point with pinned tolerances.
+Everything is exact: Sturm chains for the root classes and for isolating
+the real roots, Sylvester's criterion for definiteness.
 """
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ANGLE_TOL, DEGENERACY_TOL, ROUNDTRIP_TOL, DegenerateInput, QplError, iroot
+from .arith import (DegenerateInput, PreconditionError, QplError, iroot,
+                    leading_principal_minors)
 from .forms import PairOfQuadrics, resolvent_quartic
-from .quartic import disc_is_zero, real_projective_root_count
-
-import numpy as np
+from .quartic import disc_is_zero, real_projective_root_count, real_root_separators
 
 
 def real_class(pair_or_quartic):
     """Number of conjugate pairs of non-real roots of the resolvent: 0, 1 or 2.
 
     (So 4 - 2*real_class roots are real, counting the root at infinity.)
-    Raises DegenerateInput when the discriminant vanishes (exact inputs) or
-    is numerically degenerate (float inputs).
+    Raises DegenerateInput when the discriminant vanishes.
     """
     f = _as_quartic(pair_or_quartic)
     if disc_is_zero(f):
@@ -37,96 +33,39 @@ def _as_quartic(obj):
     return obj
 
 
-@dataclass
-class DiagonalPencil:
-    a: tuple       # diagonal coordinates of the first form
-    b: tuple       # diagonal coordinates of the second form
-    basis: tuple   # rows M with M (2A) M^T = diag(2 a_i), same for B
-    residual: float
-
-
-def simultaneous_diagonalize(pair):
-    """Diagonalize both forms of a real-class-0 pair in a common basis.
-
-    Already-diagonal pairs pass through unchanged.  Otherwise solves the
-    generalized eigenproblem of the pencil at a generic member; distinct
-    real eigenvalues (guaranteed for class 0, disc != 0) give a basis of
-    simultaneously orthogonal rows.
-    """
-    if all(pair.named(n) == 0 for n in
-           ("a12", "a13", "a14", "a23", "a24", "a34",
-            "b12", "b13", "b14", "b23", "b24", "b34")):
-        a = tuple(pair.named(n) for n in ("a11", "a22", "a33", "a44"))
-        b = tuple(pair.named(n) for n in ("b11", "b22", "b33", "b44"))
-        eye = tuple((float(i == j) for j in range(4)) for i in range(4))
-        return DiagonalPencil(a, b, eye, 0.0)
-
-    A2 = np.array([[float(v) for v in row] for row in pair.gram2(0)])
-    B2 = np.array([[float(v) for v in row] for row in pair.gram2(1)])
-    scale = max(np.abs(A2).max(), np.abs(B2).max(), 1.0)
-    for t in (1.0, 2.0, 3.0, 5.0, 7.0, 0.5, -1.0, -2.0, 11.0, 1 / 3):
-        C = A2 + t * B2
-        if abs(np.linalg.det(C)) < 1e-9 * scale ** 4:
-            continue
-        evals, vecs = np.linalg.eig(np.linalg.solve(C, A2))
-        if np.abs(evals.imag).max() > 1e-8 * (1 + np.abs(evals.real).max()):
-            continue
-        evals = evals.real
-        if min(abs(x - y) for i, x in enumerate(evals) for y in evals[i + 1:]) < 1e-8:
-            continue
-        order = np.argsort(evals)
-        V = vecs.real[:, order]
-        rows = []
-        for k in range(4):
-            v = V[:, k]
-            j = int(np.argmax(np.abs(v)))
-            if v[j] < 0:
-                v = -v
-            rows.append(v)
-        M = np.array(rows)
-        DA = M @ A2 @ M.T
-        DB = M @ B2 @ M.T
-        residual = max(_offdiag_max(DA), _offdiag_max(DB)) / scale
-        if residual > ROUNDTRIP_TOL:
-            continue
-        a = tuple(DA[i, i] / 2 for i in range(4))
-        b = tuple(DB[i, i] / 2 for i in range(4))
-        return DiagonalPencil(a, b, tuple(map(tuple, M)), residual)
-    raise QplError("could not simultaneously diagonalize (pencil too degenerate?)")
-
-
-def _offdiag_max(M):
-    return max(abs(M[i, j]) for i in range(4) for j in range(4) if i != j)
-
-
 def is_R_soluble(pair):
     """Whether Q_A = Q_B = 0 has a nonzero real solution.
 
-    Classes 1 and 2 are always soluble.  For class 0 the pair is
-    diagonalized; writing P_i = (a_i, b_i), solubility is equivalent to the
-    origin lying in the convex hull of the P_i, decided by the largest
-    angular gap between the P_i directions.
+    By Calabi's theorem (Proc. AMS 15, 1964; Finsler 1937), for n >= 3 it
+    has none exactly when some member x A + y B of the pencil is definite.
+    A definite member diagonalizes the pencil over R, so the resolvent
+    f(x, y) = det(2A x + 2B y) has four real roots: classes 1 and 2 are
+    soluble.  For class 0, definiteness is constant on each arc of P^1(R)
+    between roots of f, and a definite 4x4 matrix has det > 0; so one
+    rational point is tested per arc where f > 0.
     """
-    cls = real_class(pair)
-    if cls in (1, 2):
+    f = resolvent_quartic(pair)
+    if real_class(f) != 0:
         return True
-    pencil = simultaneous_diagonalize(pair)
-    pts = [(float(x), float(y)) for x, y in zip(pencil.a, pencil.b)]
-    return origin_in_convex_hull(pts)
+    seps = [(q.numerator, q.denominator) for q in real_root_separators(f.coeffs())]
+    # With a != 0 the arc through [1:0] holds both end separators; with
+    # a = 0, [1:0] is a root and each end separator lies on its own arc.
+    points = [(1, 0)] + seps[1:-1] if f.a != 0 else seps
+    A2, B2 = pair.gram2(0), pair.gram2(1)
+    for x, y in points:
+        if f(x, y) > 0 and _is_definite(
+                [[x * a + y * b for a, b in zip(ra, rb)] for ra, rb in zip(A2, B2)]):
+            return False
+    return True
 
 
-def origin_in_convex_hull(pts):
-    """Origin in the convex hull of 2D points <=> no open half-plane contains
-    them all <=> maximal angular gap <= pi."""
-    angles = []
-    for x, y in pts:
-        if math.hypot(x, y) == 0.0:
-            return True  # a form vanishes on a basis vector
-        angles.append(math.atan2(y, x))
-    angles.sort()
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(2 * math.pi - (angles[-1] - angles[0]))
-    return max(gaps) <= math.pi + ANGLE_TOL
+def _is_definite(M):
+    """Sylvester: M is positive definite iff its leading principal minors
+    are all positive, negative definite iff they alternate in sign starting
+    negative."""
+    minors = leading_principal_minors(M)
+    s = (minors[0] > 0) - (minors[0] < 0)
+    return len(minors) == len(M) and all(m * s ** k > 0 for k, m in enumerate(minors, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +81,8 @@ def representative_L(tag, params=(), kappa=1):
                                      B = diag(1,-l,r,-r)
     tag "2":  params (r1, r2)     -> A = antidiag blocks on (1,2) and (3,4),
                                      B = diag(r1,-r1,r2,-r2)
-    Both Gram matrices are multiplied by kappa^(1/4); the result is exact
-    when kappa is a fourth power of a rational.
+    Both Gram matrices are multiplied by kappa^(1/4); kappa must be the
+    fourth power of a positive rational (PreconditionError otherwise).
     """
     if tag == "0#":
         l1, l2, l3 = params
@@ -170,12 +109,10 @@ def _diag(*vals):
 
 
 def _fourth_root(kappa):
-    if isinstance(kappa, int) and kappa > 0:
-        r = iroot(kappa, 4)
-        if r ** 4 == kappa:
-            return r
-    if isinstance(kappa, Fraction):
-        rn, rd = iroot(kappa.numerator, 4), iroot(kappa.denominator, 4)
-        if Fraction(rn ** 4, rd ** 4) == kappa:
-            return Fraction(rn, rd)
-    return float(kappa) ** 0.25
+    kappa = Fraction(kappa)
+    if kappa > 0:
+        root = Fraction(iroot(kappa.numerator, 4), iroot(kappa.denominator, 4))
+        if root ** 4 == kappa:
+            return root
+    raise PreconditionError("kappa must be the fourth power of a positive rational, "
+                            "got %s" % kappa)

@@ -43,6 +43,17 @@ def test_classify(tmp_path, capsys):
     assert obj["R_soluble"] is False
 
 
+def test_classify_clustered_roots(tmp_path, capsys):
+    # B - 99999 A is positive definite, so there is no real common zero.
+    # The resolvent has a = 0: [1:0] is a root, the other three lie within
+    # 3 of -10^5, and the rational-root search returns at once.
+    pair = "1 2 0 0 1 0 0 1 0 1 100000 200000 0 0 200001 0 0 100002 0 100003"
+    code, obj = run_json(capsys, ["classify", pair, "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert obj["real_class"] == 0
+    assert obj["R_soluble"] is False
+
+
 def test_classify_degenerate(tmp_path, capsys):
     code, obj = run_json(capsys, ["classify", " ".join(["0"] * 20),
                                   "--out-dir", str(tmp_path)])

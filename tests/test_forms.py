@@ -128,6 +128,22 @@ def test_group_compose_inverse():
         assert g.compose(h).inverse() == h.inverse().compose(g.inverse())
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_group_compose_inverse_mod_p(p):
+    rng = random.Random(p)
+    e = GroupElement.identity(p)
+    for _ in range(25):
+        g2 = [[rng.randrange(p) for _ in range(2)] for _ in range(2)]
+        g4 = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+        d = det_generic(g2) * det_generic(g4) % p
+        if d == 0:
+            continue
+        g4[0] = [x * pow(d, -1, p) % p for x in g4[0]]
+        g = GroupElement(g2, g4, p)
+        assert g.compose(g.inverse()) == e
+        assert g.inverse().compose(g) == e
+
+
 def test_group_canonical_quotient():
     # (u^-2 I2, u I4) scalings are identified
     g = GroupElement([[2, 1], [1, 1]], random_unimodular4(random.Random(4)))

@@ -1,5 +1,5 @@
-"""Real classification, simultaneous diagonalization, and solubility
-over the reals, cross-checked against an exact feasibility oracle."""
+"""Real classification and solubility over the reals, cross-checked
+against an exact feasibility oracle."""
 
 import random
 from fractions import Fraction
@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from qpl import PairOfQuadrics, act, GroupElement
-from qpl.arith import DegenerateInput, ROUNDTRIP_TOL
+from qpl.arith import DegenerateInput, PreconditionError
 from qpl.quartic import BinaryQuartic
-from qpl.realgeom import (is_R_soluble, origin_in_convex_hull, real_class,
-                          representative_L, simultaneous_diagonalize)
+from qpl.realgeom import is_R_soluble, real_class, representative_L
 from qpl.selmer import solve_equality_lp
 
 from conftest import random_unimodular4
@@ -78,59 +77,9 @@ def test_representative_bad_tag():
         representative_L("3", ())
 
 
-# -- simultaneous diagonalization -------------------------------------------
-
-
-def test_diagonal_passthrough():
-    pair = PairOfQuadrics.from_named(a11=1, a22=-1, a33=2, a44=1,
-                                     b11=3, b22=1, b33=-1, b44=2)
-    pencil = simultaneous_diagonalize(pair)
-    assert pencil.residual == 0.0
-    assert pencil.a == (1, -1, 2, 1)
-    assert pencil.b == (3, 1, -1, 2)
-
-
-def test_diagonalization_recovers_ratios():
-    # congruence-transformed diagonal pair: the ratios b_i/a_i are the
-    # negatives of the resolvent roots, so they come back as 1,2,3,4
-    rng = random.Random(1)
-    diag = PairOfQuadrics.from_named(a11=1, a22=1, a33=1, a44=1,
-                                     b11=1, b22=2, b33=3, b44=4)
-    for _ in range(10):
-        g = GroupElement.from_g4(random_unimodular4(rng))
-        pair = act(g, diag)
-        pencil = simultaneous_diagonalize(pair)
-        assert pencil.residual <= ROUNDTRIP_TOL
-        ratios = sorted(float(b) / float(a) for a, b in zip(pencil.a, pencil.b))
-        for got, want in zip(ratios, (1, 2, 3, 4)):
-            assert abs(got - want) < 1e-6
-
-
-def test_diagonalization_residual_small():
-    import numpy as np
-    rng = random.Random(2)
-    diag = PairOfQuadrics.from_named(a11=2, a22=-1, a33=1, a44=-3,
-                                     b11=1, b22=1, b33=4, b44=-1)
-    for _ in range(10):
-        g = GroupElement.from_g4(random_unimodular4(rng))
-        pair = act(g, diag)
-        pencil = simultaneous_diagonalize(pair)
-        M = np.array(pencil.basis)
-        A2 = np.array([[float(v) for v in row] for row in pair.gram2(0)])
-        D = M @ A2 @ M.T
-        off = max(abs(D[i, j]) for i in range(4) for j in range(4) if i != j)
-        assert off <= 1e-6 * max(1.0, abs(D).max())
-
-
-# -- convex hull test -------------------------------------------------------
-
-
-def test_origin_in_convex_hull():
-    assert origin_in_convex_hull([(1, 0), (0, 1), (-1, -1)])
-    assert not origin_in_convex_hull([(1, 0), (0, 1), (1, 1), (2, 1)])
-    assert origin_in_convex_hull([(1, 0), (-1, 0), (0, 5)])  # antipodal pair
-    assert not origin_in_convex_hull([(1, 1), (2, 2), (3, 3)])
-    assert origin_in_convex_hull([(0, 0), (5, 5)])  # a form vanishes
+def test_representative_kappa_not_fourth_power():
+    with pytest.raises(PreconditionError):
+        representative_L("0#", (2, 3, 5), kappa=2)
 
 
 # -- solubility over R ------------------------------------------------------
@@ -173,8 +122,33 @@ def test_solubility_matches_exact_oracle():
             b11=b[0], b22=b[1], b33=b[2], b44=b[3])
         if pair.invariants().scaled_disc == 0:
             continue
-        assert is_R_soluble(pair) == _diag_pair_soluble_oracle(a, b)
+        want = _diag_pair_soluble_oracle(a, b)
+        assert is_R_soluble(pair) == want
+        g = GroupElement.from_g4(random_unimodular4(rng))
+        assert is_R_soluble(act(g, pair)) == want
         tested += 1
+
+
+def test_solubility_dyadic_roots():
+    # resolvent roots -1/4, 0, 1/4, 1/2: bisection midpoints from the
+    # Cauchy bound land on them, and a test point on a root is no test
+    a, b = (4, -4, -1, -4), (-2, -1, 0, 1)
+    pair = PairOfQuadrics.from_named(
+        a11=a[0], a22=a[1], a33=a[2], a44=a[3],
+        b11=b[0], b22=b[1], b33=b[2], b44=b[3])
+    assert not _diag_pair_soluble_oracle(a, b)
+    assert not is_R_soluble(pair)
+
+
+@pytest.mark.parametrize("N", [10 ** 5, 10 ** 6, 10 ** 12])
+def test_solubility_clustered_roots(N):
+    # B - (N - 1) A is positive definite; the resolvent's real roots are
+    # [1:0] and three within 3 of -N
+    pair = PairOfQuadrics.from_named(a11=1, a12=2, a22=1, a33=1, a44=1,
+                                     b11=N, b12=2 * N, b22=2 * N + 1,
+                                     b33=N + 2, b44=N + 3)
+    assert real_class(pair) == 0
+    assert not is_R_soluble(pair)
 
 
 def test_solubility_invariant_under_congruence():
