@@ -29,7 +29,7 @@ from .realgeom import is_R_soluble, real_class
 from .counting import (count_invariant_pairs, count_invariant_pairs_naive,
                        davenport_check, enumerate_curves, scan_box,
                        shear_region, verify_sibound_products,
-                       verify_weight_sums, weight_table, PREDICATES)
+                       verify_weight_sums, PREDICATES)
 from .localfp import (curve_four_torsion, curve_from_invariants,
                       jacobian_four_torsion_small_p, qp_soluble,
                       stabilizer_order_fp)
@@ -211,7 +211,7 @@ def cmd_sieve_scan(args):
 def cmd_stabilizer_fp(args):
     pair = _parse_pair(args.pair)
     p = args.prime
-    order = stabilizer_order_fp(pair, p, prefilter=not args.no_prefilter)
+    order = stabilizer_order_fp(pair, p)
     obj = {"prime": p, "stabilizer_order": order}
     inv = invariants(pair)
     if p > 3:
@@ -221,8 +221,7 @@ def cmd_stabilizer_fp(args):
     obj["curve_four_torsion"] = torsion
     obj["agrees"] = order == torsion
     return _emit_json(args, "stabilizer-fp",
-                      {"pair": args.pair, "prime": p,
-                       "prefilter": not args.no_prefilter}, obj)
+                      {"pair": args.pair, "prime": p}, obj)
 
 
 def cmd_qp_solve(args):
@@ -347,7 +346,6 @@ def build_parser():
     p = add("stabilizer-fp", cmd_stabilizer_fp, help="stabilizer order over F_p")
     p.add_argument("pair")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--no-prefilter", action="store_true")
 
     p = add("qp-solve", cmd_qp_solve, help="Q_p-solubility verdict")
     p.add_argument("pair")
@@ -373,7 +371,7 @@ def main(argv=None):
     args._started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         return args.func(args)
-    except (QplError, OSError, ValueError) as exc:
+    except (QplError, OSError, ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

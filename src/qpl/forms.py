@@ -17,7 +17,6 @@ purely algebraic operation here).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .arith import (QplError, _PERMS, det_generic, mat_identity, mat_inv_exact,
                     mat_inv_mod, mat_mul, mat_eq)

@@ -1,7 +1,9 @@
 """Local arithmetic at a prime p: points of the quadric intersection over
 F_p, Q_p-solubility by breadth-first Hensel refinement, the stabilizer of
-a pair inside the group over F_p, and 4-torsion counts of the associated
-elliptic curve.
+a pair inside the group over F_p (a resolvent filter over GL_2(F_p), then
+a mod-p kernel of linear equations for the GL_4 part), and 4-torsion
+counts of the associated elliptic curve.  Pairs are reduced mod p in
+Python before any numpy array is built, so coordinates may be of any size.
 
 The headline identity tested downstream: for a nondegenerate pair, the
 stabilizer order equals #E(F_p)[4] for E: y^2 = x^3 - (I/3)x - (J/27).
@@ -12,9 +14,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .arith import DegenerateInput, QplError, det_generic, is_prime, valuation
-from .quartic import BinaryQuartic, compose_row
-from .forms import PairOfQuadrics, invariants, resolvent_quartic
+from .arith import (DegenerateInput, QplError, det_generic, is_prime,
+                    kernel_mod_p, valuation)
+from .quartic import compose_row
+from .forms import invariants, resolvent_quartic
 
 _MINOR_PAIRS = list(combinations(range(4), 2))
 
@@ -50,13 +53,14 @@ def fp_points_on_intersection(pair, p):
         raise QplError("need an odd prime, got %r" % (p,))
     if not pair.is_integral():
         raise QplError("F_p point scan needs integral coordinates")
+    pair = pair.reduce_mod(p)
     X = proj_point_array(p)
-    UA = np.array(pair.upper(0), dtype=np.int64) % p
-    UB = np.array(pair.upper(1), dtype=np.int64) % p
+    UA = np.array(pair.upper(0), dtype=np.int64)
+    UB = np.array(pair.upper(1), dtype=np.int64)
     on = (_q_vals(UA, X, p) == 0) & (_q_vals(UB, X, p) == 0)
     Xon = X[on]
-    A2 = np.array(pair.gram2(0), dtype=np.int64) % p
-    B2 = np.array(pair.gram2(1), dtype=np.int64) % p
+    A2 = np.array(pair.gram2(0), dtype=np.int64)
+    B2 = np.array(pair.gram2(1), dtype=np.int64)
     JA = Xon @ A2 % p
     JB = Xon @ B2 % p
     smooth = np.zeros(len(Xon), dtype=bool)
@@ -156,32 +160,24 @@ def qp_soluble(pair, p, depth=None):
 # stabilizer over F_p
 
 
-def gl2_elements(p):
-    out = []
-    for r, s, t, u in product(range(p), repeat=4):
-        if (r * u - s * t) % p:
-            out.append((r, s, t, u))
-    return out
-
-
-def _g2_passes_resolvent_filter(f_mod, g2, p):
-    """Necessary condition for (g2, *) to stabilize: f(.g2) = det(g2)^2 f."""
-    r, s, t, u = g2
-    det2 = (r * u - s * t) % p
-    lhs = compose_row(f_mod, [[r, s], [t, u]]).reduce_mod(p)
-    rhs = f_mod.scale(det2 * det2).reduce_mod(p)
-    return lhs == rhs
-
-
-def stabilizer_order_fp(pair, p, prefilter=True):
+def stabilizer_order_fp(pair, p):
     """Order of the stabilizer of the pair in the group over F_p.
 
-    Enumerates g2 in GL_2(F_p) (optionally prefiltered by the resolvent
-    covariance, a necessary condition), and for each solves exactly for
-    all g4 by row-by-row backtracking against precomputed quadric value
-    tables; the raw pair count is divided by the (p-1) central scalings.
-    With prefilter=False this is an exhaustive scan of the whole group,
-    kept as a slow oracle.
+    The pair is reduced mod p first, so no numpy array sees a large
+    integer.  One numpy evaluation of compose_row over all of GL_2(F_p)
+    keeps the g2 with f(.g2) = det(g2)^2 f, a necessary condition for
+    (g2, *) to stabilize.  For each survivor, with (C, D) the
+    g2-combination of (2A, 2B), a stabilizing g4 solves g4 C g4^T = 2A
+    and g4 D g4^T = 2B; with H = g4^{-T} these become the linear
+    equations g4 C = 2A H, g4 D = 2B H, whose kernel is taken mod p.  As
+    f is not 0 mod p, no kernel vector has a zero g4-part, so the g4-parts
+    are independent; as f is squarefree mod p they span at most 4
+    dimensions.  All of their <= p^4 combinations are tested at once
+    against the two quadric equations and det(g2) det(g4) = 1.  The raw
+    pair count is divided by the (p-1) central scalings.
+
+    Every intermediate stays below about 10^3 p^5, inside int64 for every
+    p whose p^4-row arrays can be allocated at all.
     """
     if p < 3 or not is_prime(p):
         raise QplError("need a prime p >= 3")
@@ -190,59 +186,46 @@ def stabilizer_order_fp(pair, p, prefilter=True):
     inv = invariants(pair)
     if inv.disc % p == 0:     # disc, not 27*disc: 3 | scaled_disc always
         raise DegenerateInput("discriminant vanishes mod %d" % p)
+    pair = pair.reduce_mod(p)
     A2 = np.array(pair.gram2(0), dtype=np.int64) % p
     B2 = np.array(pair.gram2(1), dtype=np.int64) % p
     f_mod = resolvent_quartic(pair).reduce_mod(p)
-    V = np.indices((p,) * 4).reshape(4, -1).T.astype(np.int64)  # all of F_p^4
-    raw = 0
-    for g2 in gl2_elements(p):
-        if prefilter and not _g2_passes_resolvent_filter(f_mod, g2, p):
-            continue
-        raw += _count_g4_solutions(g2, A2, B2, V, p)
+    r, s, t, u = np.indices((p,) * 4).reshape(4, -1)
+    det2 = (r * u - s * t) % p
+    keep = det2 != 0
+    for lhs, c in zip(compose_row(f_mod, [[r, s], [t, u]]).coeffs(),
+                      f_mod.coeffs()):
+        keep &= (lhs - det2 * det2 * c) % p == 0
+    raw = sum(_count_g4_solutions(g2, A2, B2, p)
+              for g2 in zip(r[keep], s[keep], t[keep], u[keep]))
     if raw % (p - 1):
         raise QplError("raw stabilizer count %d not divisible by p-1" % raw)
     return raw // (p - 1)
 
 
-def _count_g4_solutions(g2, A2, B2, V, p):
+def _count_g4_solutions(g2, A2, B2, p):
     """Number of g4 with g4 C g4^T = 2A, g4 D g4^T = 2B and det condition,
     where (C, D) is the g2-combination of (2A, 2B)."""
-    r, s, t, u = g2
+    r, s, t, u = (int(v) for v in g2)
     det2 = (r * u - s * t) % p
     C = (r * A2 + s * B2) % p
     D = (t * A2 + u * B2) % p
-    VC = V @ C % p          # row i = V[i] C  (C symmetric)
-    VD = V @ D % p
-    QC = (VC * V).sum(axis=1) % p
-    QD = (VD * V).sum(axis=1) % p
-    w1_idx = np.nonzero((QC == A2[0, 0]) & (QD == B2[0, 0]))[0]
-    if len(w1_idx) == 0:
+    # unknowns (vec X, vec H) row-major: vec(X C) = (1 (x) C^T) vec X and
+    # vec(2A H) = (2A (x) 1) vec H
+    eye = np.eye(4, dtype=np.int64)
+    M = np.block([[np.kron(eye, C.T), -np.kron(A2, eye)],
+                  [np.kron(eye, D.T), -np.kron(B2, eye)]]) % p
+    basis = np.array(kernel_mod_p(M.tolist(), p), dtype=np.int64)
+    k = len(basis)
+    if k == 0:
         return 0
-    L1C = V @ VC[w1_idx].T % p   # (p^4, k): column j = values . C w1_j
-    L1D = V @ VD[w1_idx].T % p
-    count = 0
-    for j, i1 in enumerate(w1_idx):
-        m2 = ((L1C[:, j] == A2[1, 0]) & (L1D[:, j] == B2[1, 0])
-              & (QC == A2[1, 1]) & (QD == B2[1, 1]))
-        for i2 in np.nonzero(m2)[0]:
-            l2c = V @ VC[i2] % p
-            l2d = V @ VD[i2] % p
-            m3 = ((L1C[:, j] == A2[2, 0]) & (L1D[:, j] == B2[2, 0])
-                  & (l2c == A2[2, 1]) & (l2d == B2[2, 1])
-                  & (QC == A2[2, 2]) & (QD == B2[2, 2]))
-            for i3 in np.nonzero(m3)[0]:
-                l3c = V @ VC[i3] % p
-                l3d = V @ VD[i3] % p
-                m4 = ((L1C[:, j] == A2[3, 0]) & (L1D[:, j] == B2[3, 0])
-                      & (l2c == A2[3, 1]) & (l2d == B2[3, 1])
-                      & (l3c == A2[3, 2]) & (l3d == B2[3, 2])
-                      & (QC == A2[3, 3]) & (QD == B2[3, 3]))
-                for i4 in np.nonzero(m4)[0]:
-                    g4 = [list(map(int, V[i])) for i in (i1, i2, i3, i4)]
-                    d4 = det_generic(g4) % p
-                    if d4 and (det2 * d4) % p == 1:
-                        count += 1
-    return count
+    coeffs = np.indices((p,) * k).reshape(k, -1).T
+    X = (coeffs @ basis[:, :16] % p).reshape(-1, 4, 4)
+    Xt = X.transpose(0, 2, 1)
+    ok = (((X @ C % p) @ Xt % p == A2).all(axis=(1, 2))
+          & ((X @ D % p) @ Xt % p == B2).all(axis=(1, 2)))
+    d4 = det_generic([[X[:, i, j] for j in range(4)] for i in range(4)])
+    return int((ok & (det2 * d4 % p == 1)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import random
+from itertools import product
+
+import numpy as np
 
 from qpl import GroupElement, PairOfQuadrics
-from qpl.arith import det_generic, mat_identity, mat_mul
+from qpl.arith import (DegenerateInput, QplError, det_generic, is_prime,
+                       mat_identity, mat_mul)
 
 
 def random_pair(rng, bound=5):
@@ -44,3 +48,70 @@ def random_group_element(rng, bound=5, g4_steps=4, entry_bound=None):
     if det_generic(g2) == -1:
         g4 = [[-v for v in g4[0]]] + [list(r) for r in g4[1:]]
     return GroupElement(g2, g4)
+
+
+def stabilizer_order_oracle(pair, p):
+    """Stabilizer order over F_p by exhaustive scan: every g2 in GL_2(F_p),
+    and for each all g4 by row-by-row backtracking against quadric value
+    tables over all of F_p^4.  The slow reference for
+    qpl.localfp.stabilizer_order_fp."""
+    from qpl import invariants
+    if p < 3 or not is_prime(p):
+        raise QplError("need a prime p >= 3")
+    if not pair.is_integral():
+        raise QplError("stabilizer count needs integral coordinates")
+    inv = invariants(pair)
+    if inv.disc % p == 0:
+        raise DegenerateInput("discriminant vanishes mod %d" % p)
+    A2 = np.array(pair.gram2(0), dtype=np.int64) % p
+    B2 = np.array(pair.gram2(1), dtype=np.int64) % p
+    V = np.indices((p,) * 4).reshape(4, -1).T.astype(np.int64)  # all of F_p^4
+    raw = 0
+    for g2 in product(range(p), repeat=4):
+        r, s, t, u = g2
+        if (r * u - s * t) % p:
+            raw += _count_g4_backtracking(g2, A2, B2, V, p)
+    if raw % (p - 1):
+        raise QplError("raw stabilizer count %d not divisible by p-1" % raw)
+    return raw // (p - 1)
+
+
+def _count_g4_backtracking(g2, A2, B2, V, p):
+    """Number of g4 with g4 C g4^T = 2A, g4 D g4^T = 2B and det condition,
+    where (C, D) is the g2-combination of (2A, 2B)."""
+    r, s, t, u = g2
+    det2 = (r * u - s * t) % p
+    C = (r * A2 + s * B2) % p
+    D = (t * A2 + u * B2) % p
+    VC = V @ C % p          # row i = V[i] C  (C symmetric)
+    VD = V @ D % p
+    QC = (VC * V).sum(axis=1) % p
+    QD = (VD * V).sum(axis=1) % p
+    w1_idx = np.nonzero((QC == A2[0, 0]) & (QD == B2[0, 0]))[0]
+    if len(w1_idx) == 0:
+        return 0
+    L1C = V @ VC[w1_idx].T % p   # (p^4, k): column j = values . C w1_j
+    L1D = V @ VD[w1_idx].T % p
+    count = 0
+    for j, i1 in enumerate(w1_idx):
+        m2 = ((L1C[:, j] == A2[1, 0]) & (L1D[:, j] == B2[1, 0])
+              & (QC == A2[1, 1]) & (QD == B2[1, 1]))
+        for i2 in np.nonzero(m2)[0]:
+            l2c = V @ VC[i2] % p
+            l2d = V @ VD[i2] % p
+            m3 = ((L1C[:, j] == A2[2, 0]) & (L1D[:, j] == B2[2, 0])
+                  & (l2c == A2[2, 1]) & (l2d == B2[2, 1])
+                  & (QC == A2[2, 2]) & (QD == B2[2, 2]))
+            for i3 in np.nonzero(m3)[0]:
+                l3c = V @ VC[i3] % p
+                l3d = V @ VD[i3] % p
+                m4 = ((L1C[:, j] == A2[3, 0]) & (L1D[:, j] == B2[3, 0])
+                      & (l2c == A2[3, 1]) & (l2d == B2[3, 1])
+                      & (l3c == A2[3, 2]) & (l3d == B2[3, 2])
+                      & (QC == A2[3, 3]) & (QD == B2[3, 3]))
+                for i4 in np.nonzero(m4)[0]:
+                    g4 = [list(map(int, V[i])) for i in (i1, i2, i3, i4)]
+                    d4 = det_generic(g4) % p
+                    if d4 and (det2 * d4) % p == 1:
+                        count += 1
+    return count

@@ -111,7 +111,7 @@ def test_criterion_07_stabilizer_equals_four_torsion():
     t0 = time.monotonic()
     rng = random.Random(24)
     checked = 0
-    # p = 3: exhaustive group scan, 4-torsion from the point count.
+    # p = 3: 4-torsion from the point count.
     # Collect disagreements instead of stopping at the first one: the
     # stabilizer/4-torsion identity is a theorem only away from
     # characteristics 2 and 3, and over F_3 it genuinely fails on a
@@ -125,12 +125,12 @@ def test_criterion_07_stabilizer_equals_four_torsion():
     bad3 = []
     for _ in range(20):
         pair, inv = _nondeg_pair_mod_p(rng, 3)
-        stab = stabilizer_order_fp(pair, 3, prefilter=False)
+        stab = stabilizer_order_fp(pair, 3)
         tors = jacobian_four_torsion_small_p(pair, 3)
         if stab != tors:
             bad3.append((pair.to_string(), stab, tors, inv.I % 3))
         checked += 1
-    # p > 3: prefiltered scan, 4-torsion from the Weierstrass model.
+    # p > 3: 4-torsion from the Weierstrass model.
     # Here the identity is unconditional and any mismatch is a bug.
     for p, n in ((5, 25), (7, 15), (11, 10)):
         for _ in range(n):

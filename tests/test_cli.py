@@ -13,6 +13,8 @@ from qpl.cli import main
 
 DIAG = "1 0 0 0 1 0 0 1 0 1 1 0 0 0 2 0 0 3 0 4"
 SYM3 = "1 0 0 0 1 0 0 1 0 1 0 2 0 0 0 2 0 0 2 0"
+# the same pair as DIAG mod 5
+DIAG_HUGE = " ".join([str(1 + 5 * 10 ** 30)] + DIAG.split()[1:])
 
 
 def run(capsys, argv):
@@ -76,6 +78,14 @@ def test_count_ij(tmp_path, capsys):
 def test_count_ij_bad_cutoff(tmp_path, capsys):
     code, _ = run(capsys, ["count-ij", "--cutoff", "0", "--out-dir", str(tmp_path)])
     assert code == 1
+
+
+def test_count_ij_huge_cutoff_exit_1(tmp_path, capsys):
+    code = main(["count-ij", "--cutoff", str(10 ** 400),
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -165,11 +175,12 @@ def test_sieve_scan_csv(tmp_path, capsys):
 
 
 def test_stabilizer_fp(tmp_path, capsys):
-    code, obj = run_json(capsys, ["stabilizer-fp", DIAG, "--prime", "5",
-                                  "--out-dir", str(tmp_path)])
-    assert code == 0
-    assert obj == {"prime": 5, "stabilizer_order": 8,
-                   "curve_four_torsion": 8, "agrees": True}
+    for pair in (DIAG, DIAG_HUGE):
+        code, obj = run_json(capsys, ["stabilizer-fp", pair, "--prime", "5",
+                                      "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert obj == {"prime": 5, "stabilizer_order": 8,
+                       "curve_four_torsion": 8, "agrees": True}
 
 
 def test_stabilizer_fp_small_p(tmp_path, capsys):
@@ -180,11 +191,12 @@ def test_stabilizer_fp_small_p(tmp_path, capsys):
 
 
 def test_qp_solve(tmp_path, capsys):
-    code, obj = run_json(capsys, ["qp-solve", DIAG, "--prime", "5",
-                                  "--out-dir", str(tmp_path)])
-    assert code == 0
-    assert obj["verdict"] == "soluble"
-    assert obj["witness"] == [1, 2, 2, 1]
+    for pair in (DIAG, DIAG_HUGE):
+        code, obj = run_json(capsys, ["qp-solve", pair, "--prime", "5",
+                                      "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert obj["verdict"] == "soluble"
+        assert obj["witness"] == [1, 2, 2, 1]
 
 
 def test_selmer_bound(tmp_path, capsys):

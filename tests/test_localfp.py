@@ -6,6 +6,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qpl import PairOfQuadrics, invariants
 from qpl.arith import DegenerateInput, QplError
@@ -16,7 +17,8 @@ from qpl.localfp import (FpCurve, curve_four_torsion, curve_from_invariants,
                          jacobian_four_torsion_small_p, proj_point_array,
                          qp_soluble, stabilizer_order_fp)
 
-from conftest import random_pair
+from conftest import (random_nondegenerate_pair, random_pair,
+                      stabilizer_order_oracle)
 
 
 DIAG = PairOfQuadrics.from_named(a11=1, a22=1, a33=1, a44=1,
@@ -27,6 +29,19 @@ SYM3 = PairOfQuadrics.from_named(a11=1, a22=1, a33=1, a44=1,
                                  b12=2, b23=2, b34=2)
 SYM11 = PairOfQuadrics.from_named(a11=1, a22=1, a33=1, a44=1,
                                   b12=2, b23=6, b34=2)
+# nondegenerate mod 3 with I = 0 mod 3: unipotent pencil shears give
+# stabilizer orders 3 and 12 over F_3
+CHAR3_ORDER3 = PairOfQuadrics.from_string(
+    "2 5 0 -3 5 4 -5 -2 -3 4 0 5 -4 5 -3 -4 3 3 4 -2")
+CHAR3_ORDER12 = PairOfQuadrics.from_string(
+    "-5 -5 5 -3 -1 2 -3 -3 1 4 -5 -5 2 2 4 4 4 2 0 -3")
+
+_coords = st.lists(st.integers(-5, 5), min_size=20, max_size=20)
+_shifts = st.lists(st.integers(-10**40, 10**40), min_size=20, max_size=20)
+
+
+def _shifted(pair, p, ks):
+    return PairOfQuadrics([c + p * k for c, k in zip(pair.coords, ks)])
 
 
 # -- projective point scan --------------------------------------------------
@@ -77,6 +92,15 @@ def test_point_scan_against_oracle(p):
         assert {x for x, _ in got} == _points_oracle(pair, p)
         for x, smooth in got:
             assert smooth == _smooth_oracle(pair, list(x), p)
+
+
+@given(_coords, _shifts)
+@settings(max_examples=25, deadline=None)
+def test_point_scan_huge_coordinates(coords, ks):
+    pair = PairOfQuadrics(coords)
+    for p in (3, 5):
+        assert fp_points_on_intersection(_shifted(pair, p, ks), p) == \
+            fp_points_on_intersection(pair.reduce_mod(p), p)
 
 
 def test_point_scan_fixture():
@@ -153,10 +177,27 @@ def test_stabilizer_diag_5():
     assert stabilizer_order_fp(DIAG, 5) == 8
 
 
-def test_stabilizer_prefilter_matches_exhaustive():
-    assert stabilizer_order_fp(DIAG, 5, prefilter=False) == 8
-    assert stabilizer_order_fp(SYM3, 3, prefilter=False) == \
-        stabilizer_order_fp(SYM3, 3) == 4
+def test_stabilizer_matches_oracle():
+    cases = [(DIAG, 5), (SYM3, 3), (CHAR3_ORDER3, 3), (CHAR3_ORDER12, 3)]
+    rng = random.Random(4)
+    for p, n in ((3, 12), (5, 4), (7, 1)):
+        while n:
+            pair = random_nondegenerate_pair(rng)
+            if invariants(pair).disc % p:
+                cases.append((pair, p))
+                n -= 1
+    orders = [stabilizer_order_fp(pair, p) for pair, p in cases]
+    assert orders == [stabilizer_order_oracle(pair, p) for pair, p in cases]
+    assert orders[:4] == [8, 4, 3, 12]
+
+
+@given(st.sampled_from([3, 5, 7]), _coords, _shifts)
+@settings(max_examples=30, deadline=None)
+def test_stabilizer_huge_coordinates(p, coords, ks):
+    pair = PairOfQuadrics(coords)
+    assume(invariants(pair).disc % p)
+    assert stabilizer_order_fp(_shifted(pair, p, ks), p) == \
+        stabilizer_order_fp(pair, p)
 
 
 def test_stabilizer_degenerate_raises():
@@ -248,11 +289,10 @@ def test_char3_stabilizer_can_exceed_four_torsion():
     # g2 = [[1, k], [0, 1]] can stabilize, contributing a factor of 3
     # that no 4-torsion group contains.  (The identity is a theorem only
     # away from characteristics 2 and 3.)  Frozen verified example:
-    pair = PairOfQuadrics.from_string(
-        "2 5 0 -3 5 4 -5 -2 -3 4 0 5 -4 5 -3 -4 3 3 4 -2")
+    pair = CHAR3_ORDER3
     assert invariants(pair).disc % 3 != 0          # nondegenerate mod 3
     assert invariants(pair).I % 3 == 0
-    assert stabilizer_order_fp(pair, 3, prefilter=False) == 3
+    assert stabilizer_order_oracle(pair, 3) == stabilizer_order_fp(pair, 3) == 3
     assert jacobian_four_torsion_small_p(pair, 3) == 1
 
 
