@@ -7,9 +7,8 @@ normal forms, and the counting/LP utilities built on top of them.
 __version__ = "0.1.0"
 
 from .arith import DegenerateInput, PreconditionError, QplError
-from .quartic import (BinaryQuartic, QuarticClassification, compose_row,
-                      disc, disc_via_resultant, quartic_invariants,
-                      rational_linear_factor, real_classification,
+from .quartic import (BinaryQuartic, compose_row, disc_via_resultant,
+                      quartic_invariants, rational_linear_factor,
                       real_projective_root_count, roots_mod_p)
 from .forms import (COORD_NAMES, GroupElement, InvariantPair, PairOfQuadrics,
                     act, invariants, is_strongly_irreducible,
@@ -26,8 +25,7 @@ from .sieve import (apply_gamma_p, gamma_p, in_Wp, in_Wp1, in_Wp2,
                     verify_gamma_descent)
 from .counting import (CountReport, DavenportReport, HAAR_EXPONENTS,
                        coordinate_weight, count_invariant_pairs,
-                       count_invariant_pairs_naive, davenport_check,
-                       enumerate_curves, scan_box, scan_chunks,
+                       davenport_check, enumerate_curves, scan_box, scan_chunks,
                        verify_sibound_products, weight_table)
 from .selmer import (LPResult, SelmerShape, extremal_bound,
                      pointwise_inequality, solve_equality_lp)

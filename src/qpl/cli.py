@@ -26,10 +26,10 @@ from .forms import (PairOfQuadrics, invariants, reducibility_case,
                     resolvent_quartic, twist_identity_check)
 from .quartic import disc_is_zero, disc_via_resultant, rational_linear_factor
 from .realgeom import is_R_soluble, real_class
-from .counting import (count_invariant_pairs, count_invariant_pairs_naive,
-                       davenport_check, enumerate_curves, scan_box,
-                       shear_region, verify_sibound_products,
-                       verify_weight_sums, PREDICATES)
+from .counting import (count_invariant_pairs, davenport_check,
+                       enumerate_curves, scan_box, shear_region,
+                       verify_sibound_products, verify_weight_sums,
+                       PREDICATES)
 from .localfp import (curve_four_torsion, curve_from_invariants,
                       jacobian_four_torsion_small_p, qp_soluble,
                       stabilizer_order_fp)
@@ -149,10 +149,8 @@ def cmd_classify(args):
 def cmd_count_ij(args):
     if args.cutoff < 1:
         raise QplError("cutoff must be >= 1")
-    result = (count_invariant_pairs_naive if args.naive else
-              count_invariant_pairs)(args.cutoff)
-    return _emit_json(args, "count-ij",
-                      {"cutoff": args.cutoff, "naive": args.naive},
+    result = count_invariant_pairs(args.cutoff)
+    return _emit_json(args, "count-ij", {"cutoff": args.cutoff},
                       result.to_json_dict())
 
 
@@ -317,7 +315,6 @@ def build_parser():
 
     p = add("count-ij", cmd_count_ij, help="count invariant pairs below a cutoff")
     p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--naive", action="store_true")
 
     p = add("scan-box", cmd_scan_box, help="randomized predicate scan over a box")
     p.add_argument("--bound", type=int, required=True)

@@ -6,6 +6,7 @@ Weierstrass curves of bounded height.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -130,25 +131,6 @@ def count_invariant_pairs(X):
     n_zero = 1 + 2 * iroot(X - 1, 6)
     total = (2 * imax + 1) * (2 * jmax + 1)
     return InvariantPairCount(X, n_pos, total - n_pos - n_zero, n_zero)
-
-
-def count_invariant_pairs_naive(X):
-    """Brute-force double loop over the (I, J) rectangle; oracle for the
-    closed forms above, only sensible for small X."""
-    imax = icbrt(X - 1)
-    jmax = isqrt(4 * X - 1)
-    n_pos = n_neg = n_zero = 0
-    for I in range(-imax, imax + 1):
-        c = 4 * I ** 3
-        for J in range(-jmax, jmax + 1):
-            d = c - J * J
-            if d > 0:
-                n_pos += 1
-            elif d < 0:
-                n_neg += 1
-            else:
-                n_zero += 1
-    return InvariantPairCount(X, n_pos, n_neg, n_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +264,15 @@ def scan_box(bound, samples, seed, predicate_names=("disc_nonzero", "strongly_ir
 
 
 def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float) and math.isfinite(x):
         return Fraction(x).limit_denominator(10 ** 9)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise QplError("cannot interpret %r as an exact number" % (x,))
 
 
@@ -310,36 +293,92 @@ class DavenportReport:
         }
 
 
-def _ineq_holds(val, op, rhs):
-    if op == "<=":
-        return val <= rhs
-    if op == "<":
-        return val < rhs
-    if op == ">=":
-        return val >= rhs
-    if op == ">":
-        return val > rhs
-    if op == "==":
-        return val == rhs
-    raise QplError("unknown inequality op %r" % (op,))
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+        ">": operator.gt, "==": operator.eq}
+
+# Largest lattice box davenport_check enumerates; the box [0, 2000] x
+# [0, 1000] of the N = 1000 shear holds 2,003,001 points.
+MAX_LATTICE_POINTS = 4 * 10 ** 6
 
 
-def _eval_terms(terms, point):
-    total = 0
-    for coef, exps in terms:
-        mono = coef
-        for x, e in zip(point, exps):
-            mono *= x ** e
-        total += mono
-    return total
+def _seq(x, what, length=None):
+    if isinstance(x, (list, tuple)) and length in (None, len(x)):
+        return x
+    raise QplError("%s must be a list%s, got %r"
+                   % (what, "" if length is None else " of length %d" % length, x))
 
 
-def _region_is_linear(region):
-    for ineq in region.get("inequalities", []):
-        for _, exps in ineq["terms"]:
-            if sum(exps) > 1:
-                return False
-    return True
+def _parse_region(region):
+    """Validate a region dict once.  Returns (box, ineqs): box is a list of
+    (lo, hi) Fractions, and each inequality is (terms, op, rhs), scaled by
+    the positive lcm of its denominators so that every coefficient and rhs
+    is an integer; terms are (coef, exponent tuple) pairs."""
+    if not isinstance(region, dict) or "dim" not in region or "box" not in region:
+        raise QplError("a region needs the keys 'dim' and 'box'")
+    dim = region["dim"]
+    if not isinstance(dim, int) or dim < 1:
+        raise QplError("region dim must be a positive integer, got %r" % (dim,))
+    box = [tuple(map(_as_fraction, _seq(iv, "box interval", 2)))
+           for iv in _seq(region["box"], "box", dim)]
+    if any(hi < lo for lo, hi in box):
+        raise QplError("empty box interval")
+    ineqs = []
+    for ineq in _seq(region.get("inequalities", []), "inequalities"):
+        if not isinstance(ineq, dict) or not {"terms", "op", "rhs"} <= ineq.keys():
+            raise QplError("an inequality needs the keys 'terms', 'op' and 'rhs'")
+        if not isinstance(ineq["op"], str) or ineq["op"] not in _OPS:
+            raise QplError("unknown inequality op %r" % (ineq["op"],))
+        terms = []
+        for term in _seq(ineq["terms"], "terms"):
+            coef, exps = _seq(term, "term", 2)
+            exps = tuple(_seq(exps, "exponent vector", dim))
+            if not all(isinstance(e, int) and e >= 0 for e in exps):
+                raise QplError("exponents must be nonnegative integers, got %r" % (exps,))
+            terms.append((_as_fraction(coef), exps))
+        rhs = _as_fraction(ineq["rhs"])
+        scale = math.lcm(rhs.denominator, *(c.denominator for c, _ in terms))
+        ineqs.append(([(int(c * scale), e) for c, e in terms], ineq["op"],
+                      int(rhs * scale)))
+    return box, ineqs
+
+
+def _region_mask(ineqs, pts):
+    """Which rows of the (n, dim) array pts satisfy every inequality.
+
+    The arithmetic is that of pts' dtype: exact for int64 (when no value
+    can reach 2^63) and object arrays of Python ints, rounded for the
+    float Monte-Carlo samples."""
+    mask = np.ones(len(pts), dtype=bool)
+    for terms, op, rhs in ineqs:
+        vals = 0
+        for coef, exps in terms:
+            mono = coef
+            for d, e in enumerate(exps):
+                if e:
+                    mono = mono * pts[:, d] ** e
+            vals = vals + mono
+        mask &= _OPS[op](vals, rhs)
+    return mask
+
+
+def _lattice_points(box, ineqs):
+    """The integer points of the box as an (n, dim) array: int64 when an
+    exact bound shows no coordinate, partial monomial sum or rhs reaches
+    2^63, Python ints otherwise."""
+    lows = [math.ceil(lo) for lo, _ in box]
+    sizes = [math.floor(hi) - low + 1 for (_, hi), low in zip(box, lows)]
+    if math.prod(max(s, 1) for s in sizes) > MAX_LATTICE_POINTS:
+        raise QplError("box of %s lattice points exceeds the limit of %d"
+                       % (" x ".join(map(str, sizes)), MAX_LATTICE_POINTS))
+    reach = [max(abs(low), abs(low + s - 1), 1) for low, s in zip(lows, sizes)]
+    bound = max(reach)
+    for terms, _, rhs in ineqs:
+        total = sum(max(abs(c), 1) * math.prod(r ** e for r, e in zip(reach, exps))
+                    for c, exps in terms)
+        bound = max(bound, abs(rhs), total)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    idx = np.indices(sizes).reshape(len(box), -1).T
+    return idx.astype(dtype) + np.array(lows, dtype=dtype)
 
 
 def davenport_check(region, mc_samples=200000, seed=0):
@@ -347,59 +386,23 @@ def davenport_check(region, mc_samples=200000, seed=0):
 
     The region is a JSON-style dict: {"dim": d, "box": [[lo, hi], ...],
     "inequalities": [{"terms": [[coef, [e_1..e_d]], ...], "op": "<=",
-    "rhs": r}, ...]}.  Counting is exact.  The volume is exact for
-    two-dimensional regions cut out by linear inequalities (polygon
-    clipping + shoelace); otherwise it is a Monte-Carlo estimate over
-    the box.  The reported projection bound is the largest box extent,
-    the quantity controlling the boundary error for regions of this
-    bounded shape.
+    "rhs": r}, ...]} with op one of <=, <, >=, >, ==, exact numbers (ints,
+    "p/q" strings, or floats read to denominators below 10^9) and
+    nonnegative integer exponents; anything else raises QplError.  The
+    box may hold at most MAX_LATTICE_POINTS lattice points.  Counting is
+    exact.  The volume is exact for two-dimensional regions cut out by
+    linear inequalities (polygon clipping + shoelace); otherwise it is a
+    Monte-Carlo estimate over the box.  The reported projection bound is
+    the largest box extent, the quantity controlling the boundary error
+    for regions of this bounded shape.
     """
-    dim = region["dim"]
-    box = [(_as_fraction(lo), _as_fraction(hi)) for lo, hi in region["box"]]
-    if len(box) != dim:
-        raise QplError("box has %d intervals for dimension %d" % (len(box), dim))
-    ineqs = region.get("inequalities", [])
-    for lo, hi in box:
-        if hi < lo:
-            raise QplError("empty box interval")
-
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
-    grids = np.meshgrid(*[np.array(list(r), dtype=np.int64) for r in ranges],
-                        indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    all_int = all(isinstance(c, int) for ineq in ineqs for c, _ in ineq["terms"]) \
-        and all(isinstance(ineq["rhs"], int) for ineq in ineqs)
-    if all_int:
-        mask = np.ones(len(pts), dtype=bool)
-        for ineq in ineqs:
-            vals = np.zeros(len(pts), dtype=np.int64)
-            for coef, exps in ineq["terms"]:
-                mono = np.full(len(pts), int(coef), dtype=np.int64)
-                for d in range(dim):
-                    if exps[d]:
-                        mono = mono * pts[:, d] ** exps[d]
-                vals += mono
-            rhs = ineq["rhs"]
-            op = ineq["op"]
-            mask &= {"<=": vals <= rhs, "<": vals < rhs, ">=": vals >= rhs,
-                     ">": vals > rhs, "==": vals == rhs}[op]
-        count = int(mask.sum())
+    box, ineqs = _parse_region(region)
+    count = int(_region_mask(ineqs, _lattice_points(box, ineqs)).sum())
+    if len(box) == 2 and all(sum(e) <= 1 for terms, _, _ in ineqs for _, e in terms):
+        volume, exact = float(_polygon_volume(box, ineqs)), True
     else:
-        count = 0
-        for pt in pts:
-            point = [Fraction(int(x)) for x in pt]
-            if all(_ineq_holds(_eval_terms([(_as_fraction(c), e) for c, e in ineq["terms"]],
-                                           point), ineq["op"], _as_fraction(ineq["rhs"]))
-                   for ineq in ineqs):
-                count += 1
-
-    if dim == 2 and _region_is_linear(region):
-        volume = float(_polygon_volume(box, ineqs))
-        exact = True
-    else:
-        volume, exact = _mc_volume(box, ineqs, dim, mc_samples, seed), False
-
-    proj = max(float(hi - lo) for lo, hi in box) if box else 0.0
+        volume, exact = _mc_volume(box, ineqs, mc_samples, seed), False
+    proj = max(float(hi - lo) for lo, hi in box)
     return DavenportReport(count, volume, exact, proj)
 
 
@@ -408,24 +411,13 @@ def _polygon_volume(box, ineqs):
     Sutherland-Hodgman in rational arithmetic and the shoelace formula."""
     (x0, x1), (y0, y1) = box
     poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    for ineq in ineqs:
-        a = b = Fraction(0)
-        c0 = Fraction(0)
-        for coef, exps in ineq["terms"]:
-            coef = _as_fraction(coef)
-            if exps == [1, 0] or tuple(exps) == (1, 0):
-                a += coef
-            elif exps == [0, 1] or tuple(exps) == (0, 1):
-                b += coef
-            elif exps == [0, 0] or tuple(exps) == (0, 0):
-                c0 += coef
-            else:
-                raise QplError("nonlinear term in polygon volume")
-        rhs = _as_fraction(ineq["rhs"]) - c0
-        op = ineq["op"]
+    for terms, op, rhs in ineqs:
+        a = sum(c for c, e in terms if e == (1, 0))
+        b = sum(c for c, e in terms if e == (0, 1))
+        rhs -= sum(c for c, e in terms if e == (0, 0))
         if op in (">=", ">"):
             a, b, rhs = -a, -b, -rhs
-        elif op not in ("<=", "<"):
+        elif op == "==":
             raise QplError("equality constraints have zero area")
         poly = _clip(poly, a, b, rhs)
         if not poly:
@@ -455,30 +447,13 @@ def _clip(poly, a, b, rhs):
     return out
 
 
-def _mc_volume(box, ineqs, dim, samples, seed):
+def _mc_volume(box, ineqs, samples, seed):
     rng = _chunk_rng(seed, 0)
     lo = np.array([float(l) for l, _ in box])
     hi = np.array([float(h) for _, h in box])
-    pts = rng.random((samples, dim)) * (hi - lo) + lo
-    mask = np.ones(samples, dtype=bool)
-    for ineq in ineqs:
-        vals = np.zeros(samples)
-        for coef, exps in ineq["terms"]:
-            mono = np.full(samples, float(coef))
-            for d in range(dim):
-                if exps[d]:
-                    mono = mono * pts[:, d] ** exps[d]
-            vals += mono
-        rhs = float(ineq["rhs"])
-        op = ineq["op"]
-        if op in ("<=", "<"):
-            mask &= vals <= rhs
-        elif op in (">=", ">"):
-            mask &= vals >= rhs
-        else:
-            mask &= vals == rhs
+    pts = rng.random((samples, len(box))) * (hi - lo) + lo
     box_vol = float(np.prod(hi - lo))
-    return float(box_vol * mask.sum() / samples)
+    return float(box_vol * _region_mask(ineqs, pts).sum() / samples)
 
 
 def shear_region(N):

@@ -1,13 +1,12 @@
 """Binary quartic forms f(x,y) = a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4.
 
-Invariants I, J, three independent routes to the discriminant, exact
-rational root search, Sturm-based real root counts, and roots over F_p
-with multiplicities.  Coefficients may live in any commutative ring for
-the symbolic operations; the root-finding operations require exact
-integers or rationals.
+Invariants I, J, the discriminant as a resultant (27 disc = 4I^3 - J^2
+gives a second route), exact rational root search, Sturm-based real root
+counts, and roots over F_p with multiplicities.  Coefficients may live
+in any commutative ring for the symbolic operations; the root-finding
+operations require exact integers or rationals.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -72,23 +71,6 @@ def quartic_invariants(f):
     J = (72 * a * c * e + 9 * b * c * d - 27 * a * d * d
          - 27 * b * b * e - 2 * c ** 3)
     return I, J
-
-
-def disc(f):
-    """Discriminant via the explicit degree-6 polynomial in the coefficients.
-
-    Satisfies 27*disc = 4I^3 - J^2 (checked exhaustively in the tests); kept
-    as an independent formula so the identity is a real crosscheck.
-    """
-    a, b, c, d, e = f.coeffs()
-    return (256 * a**3 * e**3 - 192 * a**2 * b * d * e**2
-            - 128 * a**2 * c**2 * e**2 + 144 * a**2 * c * d**2 * e
-            - 27 * a**2 * d**4 + 144 * a * b**2 * c * e**2
-            - 6 * a * b**2 * d**2 * e - 80 * a * b * c**2 * d * e
-            + 18 * a * b * c * d**3 + 16 * a * c**4 * e
-            - 4 * a * c**3 * d**2 - 27 * b**4 * e**2
-            + 18 * b**3 * c * d * e - 4 * b**3 * d**3
-            - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2)
 
 
 def disc_via_resultant(f):
@@ -312,36 +294,14 @@ def disc_is_zero(f):
     return 4 * I ** 3 - J ** 2 == 0
 
 
-@dataclass(frozen=True)
-class QuarticClassification:
-    real_class: object          # 0, 1, 2 conjugate pairs of complex roots; None if degenerate
-    has_rational_linear_factor: bool
-    disc_is_zero: bool
-
-
-def real_classification(f):
-    degenerate = disc_is_zero(f)
-    has_root = rational_linear_factor(f) is not None
-    if degenerate:
-        return QuarticClassification(None, has_root, True)
-    n_real = real_projective_root_count(f)
-    return QuarticClassification((4 - n_real) // 2, has_root, False)
-
-
 # ---------------------------------------------------------------------------
 # roots over F_p
 
 
-def _fp_trim(f):
-    while f and f[0] == 0:
-        f = f[1:]
-    return f
-
-
 def _fp_poly_divmod(f, g, p):
     """Quotient and remainder of coefficient lists (highest first) over F_p."""
-    f = _fp_trim([c % p for c in f])
-    g = _fp_trim([c % p for c in g])
+    f = _poly_trim([c % p for c in f])
+    g = _poly_trim([c % p for c in g])
     if not g:
         raise ZeroDivisionError("polynomial division by zero mod %d" % p)
     inv = pow(g[0], -1, p)
@@ -350,13 +310,13 @@ def _fp_poly_divmod(f, g, p):
         lead = (f[0] * inv) % p
         q[len(q) - (len(f) - len(g)) - 1] = lead
         f = [(c - lead * gc) % p for c, gc in zip(f, g)] + f[len(g):]
-        f = _fp_trim(f[1:])
-    return _fp_trim(q), f
+        f = _poly_trim(f[1:])
+    return _poly_trim(q), f
 
 
 def fp_poly_gcd(f, g, p):
-    f = _fp_trim([c % p for c in f])
-    g = _fp_trim([c % p for c in g])
+    f = _poly_trim([c % p for c in f])
+    g = _poly_trim([c % p for c in g])
     while g:
         _, r = _fp_poly_divmod(f, g, p)
         f, g = g, r

@@ -1,11 +1,12 @@
-import random
 from itertools import product
+from math import isqrt
 
 import numpy as np
 
 from qpl import GroupElement, PairOfQuadrics
-from qpl.arith import (DegenerateInput, QplError, det_generic, is_prime,
+from qpl.arith import (DegenerateInput, QplError, det_generic, icbrt, is_prime,
                        mat_identity, mat_mul)
+from qpl.counting import InvariantPairCount
 
 
 def random_pair(rng, bound=5):
@@ -115,3 +116,37 @@ def _count_g4_backtracking(g2, A2, B2, V, p):
                     if d4 and (det2 * d4) % p == 1:
                         count += 1
     return count
+
+
+def count_invariant_pairs_naive(X):
+    """Brute-force double loop over the (I, J) rectangle; the oracle for
+    qpl.counting.count_invariant_pairs, only sensible for small X."""
+    imax = icbrt(X - 1)
+    jmax = isqrt(4 * X - 1)
+    n_pos = n_neg = n_zero = 0
+    for I in range(-imax, imax + 1):
+        c = 4 * I ** 3
+        for J in range(-jmax, jmax + 1):
+            d = c - J * J
+            if d > 0:
+                n_pos += 1
+            elif d < 0:
+                n_neg += 1
+            else:
+                n_zero += 1
+    return InvariantPairCount(X, n_pos, n_neg, n_zero)
+
+
+def disc(f):
+    """Discriminant of a binary quartic via the explicit degree-6 polynomial
+    in its coefficients; an independent oracle for 27 disc = 4I^3 - J^2
+    and for qpl.quartic.disc_via_resultant."""
+    a, b, c, d, e = f.coeffs()
+    return (256 * a**3 * e**3 - 192 * a**2 * b * d * e**2
+            - 128 * a**2 * c**2 * e**2 + 144 * a**2 * c * d**2 * e
+            - 27 * a**2 * d**4 + 144 * a * b**2 * c * e**2
+            - 6 * a * b**2 * d**2 * e - 80 * a * b * c**2 * d * e
+            + 18 * a * b * c * d**3 + 16 * a * c**4 * e
+            - 4 * a * c**3 * d**2 - 27 * b**4 * e**2
+            + 18 * b**3 * c * d * e - 4 * b**3 * d**3
+            - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from qpl.arith import (PreconditionError, complete_unimodular, det_bareiss,
                        det_generic, ext_gcd, icbrt, iroot, is_prime,
@@ -120,7 +120,6 @@ def test_complete_unimodular_rejects_imprimitive():
 
 def test_kernel_mod_p():
     # rank-3 matrix mod 5 with kernel spanned by (1, 2, 3, 4)
-    import numpy as np
     rng = random.Random(8)
     v = [1, 2, 3, 4]
     rows = []

@@ -5,7 +5,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 
 import pytest
 
@@ -69,10 +68,6 @@ def test_count_ij(tmp_path, capsys):
                                   "--out-dir", str(tmp_path)])
     assert code == 0
     assert (obj["n_positive"], obj["n_negative"], obj["n_zero"]) == (443, 1963, 7)
-    code2, obj2 = run_json(capsys, ["count-ij", "--cutoff", "1000", "--naive",
-                                    "--out-dir", str(tmp_path)])
-    assert code2 == 0
-    assert obj2["n_positive"] == obj["n_positive"]
 
 
 def test_count_ij_bad_cutoff(tmp_path, capsys):
@@ -153,6 +148,22 @@ def test_davenport_missing_file(tmp_path, capsys):
     code, _ = run(capsys, ["davenport", "--region", str(tmp_path / "nope.json"),
                            "--out-dir", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("region", [
+    {"dim": 2, "box": [[0, 1], [0, 1]],
+     "inequalities": [{"terms": [[1, [1, 0]]], "op": "=<", "rhs": 1}]},
+    {"box": [[0, 1], [0, 1]], "inequalities": []},
+    {"dim": 2, "box": [[0, 1], [0, 1]],
+     "inequalities": [{"terms": [[1, [1]]], "op": "<=", "rhs": 1}]},
+], ids=["unknown-op", "missing-dim", "short-exponents"])
+def test_davenport_malformed_region_exit_1(tmp_path, capsys, region):
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(region))
+    code = main(["davenport", "--region", str(path), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_curves(tmp_path, capsys):

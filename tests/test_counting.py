@@ -2,20 +2,20 @@
 lattice-vs-volume comparisons, and curve enumeration."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from qpl.arith import QplError
-from qpl.counting import (HAAR_EXPONENTS, CountReport, DavenportReport,
-                          coordinate_weight, count_invariant_pairs,
-                          count_invariant_pairs_naive, davenport_check,
+from qpl.counting import (HAAR_EXPONENTS, CountReport, coordinate_weight,
+                          count_invariant_pairs, davenport_check,
                           enumerate_curves, family_density, plan_chunks,
                           scan_box, scan_chunks, shear_region,
                           verify_sibound_products, verify_weight_sums,
                           weight_table, _is_minimal, ZETA10)
 from qpl.forms import COORD_NAMES
+
+from conftest import count_invariant_pairs_naive
 
 
 # -- torus weights ----------------------------------------------------------
@@ -164,9 +164,14 @@ def test_davenport_halfplane():
     tri = {"dim": 2, "box": [[0, 2], [0, 2]],
            "inequalities": [{"terms": [[1, [1, 0]], [1, [0, 1]]],
                              "op": "<=", "rhs": 2}]}
-    rep = davenport_check(tri)
-    assert rep.lattice_count == 6
-    assert rep.volume == 2.0 and rep.volume_is_exact
+    # the same triangle with rational coefficients, as strings
+    tri_q = {"dim": 2, "box": [[0, 2], [0, 2]],
+             "inequalities": [{"terms": [["1/2", [1, 0]], ["1/2", [0, 1]]],
+                               "op": "<=", "rhs": "1"}]}
+    for region in (tri, tri_q):
+        rep = davenport_check(region)
+        assert rep.lattice_count == 6
+        assert rep.volume == 2.0 and rep.volume_is_exact
 
 
 def test_davenport_shear_fixture():
@@ -198,6 +203,53 @@ def test_davenport_nonlinear_monte_carlo():
 def test_davenport_empty_box_raises():
     with pytest.raises(QplError):
         davenport_check({"dim": 1, "box": [[1, 0]], "inequalities": []})
+
+
+def _cubic_region(coef):
+    # coef x^3 <= 10^21 on [0, 1000]; with coef = 10^13 this is x^3 <= 10^8
+    return {"dim": 1, "box": [[0, 1000]],
+            "inequalities": [{"terms": [[coef, [3]]], "op": "<=",
+                              "rhs": 10 ** 21}]}
+
+
+def test_davenport_count_exact_beyond_int64():
+    # 10^13 * 1000^3 overflows int64; x <= 10^(8/3) = 464.15... gives 465 points
+    assert davenport_check(_cubic_region(10 ** 13)).lattice_count == 465
+
+
+def test_davenport_string_coefficient_nonlinear():
+    rep = davenport_check(_cubic_region("10000000000000/1"))
+    assert rep.lattice_count == 465
+    assert not rep.volume_is_exact
+    assert abs(rep.volume - 10 ** (8 / 3)) < 5
+
+
+def test_davenport_box_over_lattice_limit_raises():
+    with pytest.raises(QplError, match="limit"):
+        davenport_check({"dim": 2, "box": [[0, 10 ** 12]] * 2, "inequalities": []})
+
+
+@pytest.mark.parametrize("region", [
+    [],
+    {"box": [[0, 1]]},
+    {"dim": 0, "box": []},
+    {"dim": 2, "box": [[0, 1]]},
+    {"dim": 1, "box": [[0, "x"]]},
+    {"dim": 1, "box": [[0, 1]], "inequalities": [{"terms": [], "op": "<="}]},
+    {"dim": 1, "box": [[0, 1]],
+     "inequalities": [{"terms": [[1, [1]]], "op": "=<", "rhs": 0}]},
+    {"dim": 1, "box": [[0, 1]],
+     "inequalities": [{"terms": [[1, [1]]], "op": ["<="], "rhs": 0}]},
+    {"dim": 2, "box": [[0, 1], [0, 1]],
+     "inequalities": [{"terms": [[1, [1]]], "op": "<=", "rhs": 0}]},
+    {"dim": 1, "box": [[0, 1]],
+     "inequalities": [{"terms": [[1, [-1]]], "op": "<=", "rhs": 0}]},
+    {"dim": 1, "box": [[0, 1]],
+     "inequalities": [{"terms": [[1, 1]], "op": "<=", "rhs": 0}]},
+])
+def test_davenport_malformed_region_raises(region):
+    with pytest.raises(QplError):
+        davenport_check(region)
 
 
 # -- curve enumeration ------------------------------------------------------

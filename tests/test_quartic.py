@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
-from qpl.quartic import (BinaryQuartic, compose_row, disc, disc_via_resultant,
+from qpl.quartic import (BinaryQuartic, compose_row, disc_via_resultant,
                          fp_poly_gcd, quartic_invariants,
-                         rational_linear_factor, real_classification,
-                         real_projective_root_count, repeated_factor_mod_p,
-                         roots_mod_p)
+                         rational_linear_factor, real_projective_root_count,
+                         repeated_factor_mod_p, roots_mod_p)
+
+from conftest import disc
 
 X, Y = sympy.symbols("x y")
 
@@ -129,13 +129,6 @@ def test_real_root_counts_against_numpy():
         want = n_real + (1 if f.a == 0 else 0)    # point at infinity
         assert real_projective_root_count(f) == want, f
         checked += 1
-
-
-def test_real_classification_degenerate_flag():
-    c = real_classification(BinaryQuartic(1, 0, -1, 0, 0))
-    assert c.disc_is_zero
-    c2 = real_classification(BinaryQuartic(1, 0, 0, 0, 1))
-    assert not c2.disc_is_zero and c2.real_class == 2
 
 
 def test_roots_mod_p_brute_force():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpl.arith import QplError
-from qpl.selmer import (LPResult, SelmerShape, extremal_bound,
-                        pointwise_inequality, solve_equality_lp)
+from qpl.selmer import (SelmerShape, extremal_bound, pointwise_inequality,
+                        solve_equality_lp)
 
 
 # -- shapes -----------------------------------------------------------------
