@@ -116,22 +116,17 @@ def valuation(n, p):
 
 
 def iroot(n, k):
-    """Floor k-th root of n >= 0."""
+    """Floor k-th root of n >= 0, by integer Newton iteration."""
     if n < 0:
         raise ValueError("iroot of negative")
     if n == 0:
         return 0
-    r = round(n ** (1 / k)) + 1
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:     # guard against float under-estimates
-        r += 1
-    return r
-
-
-def icbrt(n):
-    """Floor cube root of n >= 0."""
-    return iroot(n, 3)
+    r = 1 << -(-n.bit_length() // k)   # 2^ceil(bits/k), above the root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def is_prime(n):
@@ -149,8 +144,18 @@ def is_prime(n):
     return True
 
 
-def primes_upto(n):
-    return [p for p in range(2, n + 1) if is_prime(p)]
+def factorize(n):
+    """Trial-division factorization of n >= 1 as [(p, e), ...], p increasing."""
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = valuation(n, p)
+            factors.append((p, e))
+            n //= p ** e
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 def _exact_div(a, b):

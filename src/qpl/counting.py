@@ -13,7 +13,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import QplError, icbrt, iroot, primes_upto
+from .arith import QplError, factorize, iroot
 from .forms import (COORD_NAMES, PairOfQuadrics, invariants, is_strongly_irreducible,
                     reducibility_case)
 from .quartic import rational_linear_factor
@@ -87,6 +87,17 @@ def verify_sibound_products():
 # ---------------------------------------------------------------------------
 # exact counts of invariant pairs below a height cutoff
 
+# Most terms an exact sum over the cutoff may take: the I-loop of
+# count_invariant_pairs and the Moebius d-loop of enumerate_curves, both
+# checked before they loop or evaluate a float.
+MAX_SUM_TERMS = 10 ** 6
+
+
+def _check_terms(what, terms):
+    if terms > MAX_SUM_TERMS:
+        raise QplError("%s needs %d terms, above the limit of %d"
+                       % (what, terms, MAX_SUM_TERMS))
+
 
 @dataclass(frozen=True)
 class InvariantPairCount:
@@ -123,7 +134,8 @@ def count_invariant_pairs(X):
     """
     if X < 1:
         raise QplError("cutoff X must be a positive integer")
-    imax = icbrt(X - 1)               # |I|^3 <= X - 1  <=>  4|I|^3 < 4X
+    imax = iroot(X - 1, 3)            # |I|^3 <= X - 1  <=>  4|I|^3 < 4X
+    _check_terms("the (I, J) count", imax)
     jmax = isqrt(4 * X - 1)           # J^2 < 4X
     n_pos = 0
     for I in range(1, imax + 1):
@@ -300,6 +312,15 @@ _OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
 # [0, 1000] of the N = 1000 shear holds 2,003,001 points.
 MAX_LATTICE_POINTS = 4 * 10 ** 6
 
+# Largest region dimension: np.indices builds dim + 1 axes, and numpy 1.x
+# allows 32.
+MAX_DIM = 31
+
+# Largest exact-bound bit length of one monomial, sum of e_d times the bit
+# length of the box reach along axis d: about the float range, far above
+# the 30 bits of 10^13 x^3 on [0, 1000].
+MAX_TERM_BITS = 1024
+
 
 def _seq(x, what, length=None):
     if isinstance(x, (list, tuple)) and length in (None, len(x)):
@@ -316,8 +337,9 @@ def _parse_region(region):
     if not isinstance(region, dict) or "dim" not in region or "box" not in region:
         raise QplError("a region needs the keys 'dim' and 'box'")
     dim = region["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise QplError("region dim must be a positive integer, got %r" % (dim,))
+    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        raise QplError("region dim must be an integer in [1, %d], got %r"
+                       % (MAX_DIM, dim))
     box = [tuple(map(_as_fraction, _seq(iv, "box interval", 2)))
            for iv in _seq(region["box"], "box", dim)]
     if any(hi < lo for lo, hi in box):
@@ -371,6 +393,11 @@ def _lattice_points(box, ineqs):
         raise QplError("box of %s lattice points exceeds the limit of %d"
                        % (" x ".join(map(str, sizes)), MAX_LATTICE_POINTS))
     reach = [max(abs(low), abs(low + s - 1), 1) for low, s in zip(lows, sizes)]
+    bits = max((sum(e * r.bit_length() for r, e in zip(reach, exps))
+                for terms, _, _ in ineqs for _, exps in terms), default=0)
+    if bits > MAX_TERM_BITS:
+        raise QplError("a monomial on this box reaches %d bits, above the limit of %d"
+                       % (bits, MAX_TERM_BITS))
     bound = max(reach)
     for terms, _, rhs in ineqs:
         total = sum(max(abs(c), 1) * math.prod(r ** e for r, e in zip(reach, exps))
@@ -389,12 +416,14 @@ def davenport_check(region, mc_samples=200000, seed=0):
     "rhs": r}, ...]} with op one of <=, <, >=, >, ==, exact numbers (ints,
     "p/q" strings, or floats read to denominators below 10^9) and
     nonnegative integer exponents; anything else raises QplError.  The
-    box may hold at most MAX_LATTICE_POINTS lattice points.  Counting is
-    exact.  The volume is exact for two-dimensional regions cut out by
-    linear inequalities (polygon clipping + shoelace); otherwise it is a
-    Monte-Carlo estimate over the box.  The reported projection bound is
-    the largest box extent, the quantity controlling the boundary error
-    for regions of this bounded shape.
+    dimension may be at most MAX_DIM, the box may hold at most
+    MAX_LATTICE_POINTS lattice points, and a monomial may reach at most
+    MAX_TERM_BITS bits on it.  Counting is exact.  The volume is exact for
+    two-dimensional regions cut out by linear inequalities (polygon
+    clipping + shoelace); otherwise it is a Monte-Carlo estimate over the
+    box, which needs every number within float range.  The reported
+    projection bound is the largest box extent, the quantity controlling
+    the boundary error for regions of this bounded shape.
     """
     box, ineqs = _parse_region(region)
     count = int(_region_mask(ineqs, _lattice_points(box, ineqs)).sum())
@@ -448,9 +477,15 @@ def _clip(poly, a, b, rhs):
 
 
 def _mc_volume(box, ineqs, samples, seed):
+    try:
+        lo = np.array([float(l) for l, _ in box])
+        hi = np.array([float(h) for _, h in box])
+        ineqs = [([(float(c), e) for c, e in terms], op, float(rhs))
+                 for terms, op, rhs in ineqs]
+    except OverflowError:
+        raise QplError("the Monte-Carlo volume needs every bound, coefficient "
+                       "and rhs within float range") from None
     rng = _chunk_rng(seed, 0)
-    lo = np.array([float(l) for l, _ in box])
-    hi = np.array([float(h) for _, h in box])
     pts = rng.random((samples, len(box))) * (hi - lo) + lo
     box_vol = float(np.prod(hi - lo))
     return float(box_vol * _region_mask(ineqs, pts).sum() / samples)
@@ -487,26 +522,36 @@ class CurveCount:
 ZETA10 = math.pi ** 10 / 93555.0
 
 
-def _is_minimal(A, B):
-    """No prime p with p^4 | A and p^6 | B (A = B = 0 never reaches here)."""
-    if A == 0:
-        bound = iroot(abs(B), 6)
-        return all(B % p ** 6 for p in primes_upto(bound)) if bound >= 2 else True
-    bound = iroot(abs(A), 4)
-    if bound < 2:
-        return True
-    for p in primes_upto(bound):
-        if A % p ** 4 == 0 and (B == 0 or B % p ** 6 == 0):
-            return False
-    return True
-
-
-def _family_allows(A, B, family):
+def _parse_family(family):
+    """Validate a congruence family {"modulus": m, "residues": [[rA, rB],
+    ...]}: m an integer in [1, MAX_SUM_TERMS], residues integer pairs in
+    [0, m).  Returns m and the set of distinct residues; None is the
+    modulus-1 family with the single residue (0, 0)."""
     if family is None:
-        return True
+        return 1, {(0, 0)}
+    if not isinstance(family, dict) or not {"modulus", "residues"} <= family.keys():
+        raise QplError("a family needs the keys 'modulus' and 'residues'")
     m = family["modulus"]
-    return [A % m, B % m] in family["residues"] or (A % m, B % m) in \
-        {tuple(r) for r in family["residues"]}
+    if not isinstance(m, int) or not 1 <= m <= MAX_SUM_TERMS:
+        raise QplError("family modulus must be an integer in [1, %d], got %r"
+                       % (MAX_SUM_TERMS, m))
+    residues = set()
+    for r in _seq(family["residues"], "residues"):
+        if not all(isinstance(x, int) and 0 <= x < m for x in _seq(r, "residue", 2)):
+            raise QplError("a residue must be an integer pair in [0, %d), got %r"
+                           % (m, r))
+        residues.add(tuple(r))
+    return m, residues
+
+
+def _congruent_count(s, r, m, bound):
+    """Number of x in [-bound, bound] with s x = r (mod m)."""
+    g = math.gcd(s, m)
+    if r % g:
+        return 0
+    step = m // g
+    x0 = r // g * pow(s // g, -1, step) % step
+    return (bound - x0) // step - (-bound - 1 - x0) // step
 
 
 def enumerate_curves(X, family=None):
@@ -515,36 +560,42 @@ def enumerate_curves(X, family=None):
     (I, J) = (-3A, -27B)), discriminant nonzero, optionally restricted
     to a congruence family {"modulus": m, "residues": [[rA, rB], ...]}.
 
+    The count is the Moebius sum over squarefree d <= D of mu(d) times
+    the allowed window pairs (d^4 A', d^6 B') off the cusp (A', B') =
+    (-3k^2, 2k^3); its D max(m, #residues) terms are at most MAX_SUM_TERMS.
+
     The prediction is (8 X^{5/6} / 81) times the product of local
     densities: (1 - p^{-10}) at primes away from the modulus, and an
     exact residue count at primes dividing it.
     """
     if X < 1:
         raise QplError("cutoff X must be a positive integer")
-    amax = 0
-    while 108 * (amax + 1) ** 3 < 4 * X:
-        amax += 1
+    m, residues = _parse_family(family)
+    amax = iroot((4 * X - 1) // 108, 3)
     bmax = isqrt((4 * X - 1) // 729)
+    D = max(iroot(amax, 4), iroot(bmax, 6))
+    _check_terms("the Moebius sum", D * max(m, len(residues)))
     count = 0
-    for A in range(-amax, amax + 1):
-        for B in range(-bmax, bmax + 1):
-            if 4 * A ** 3 + 27 * B ** 2 == 0:
-                continue
-            if not _family_allows(A, B, family):
-                continue
-            if _is_minimal(A, B):
-                count += 1
+    for d in range(1, D + 1):
+        factors = factorize(d)
+        if any(e > 1 for _, e in factors):
+            continue
+        a, b = amax // d ** 4, bmax // d ** 6
+        sa, sb = d ** 4 % m, d ** 6 % m
+        n = sum(_congruent_count(sa, rA, m, a) * _congruent_count(sb, rB, m, b)
+                for rA, rB in residues)
+        # on the cusp 108|A|^3 = 729 B^2, so 3k^2 <= a iff 2|k|^3 <= b
+        cusp = isqrt(a // 3)
+        n -= sum(_congruent_count(1, k, m, cusp) for k in range(m)
+                 if (-3 * sa * k * k % m, 2 * sb * k ** 3 % m) in residues)
+        count += (-1) ** len(factors) * n
     vol = 8.0 * X ** (5.0 / 6.0) / 81.0
-    if family is None:
-        predicted = vol / ZETA10
-    else:
-        # away from the modulus the local density is (1 - p^{-10});
-        # their product over all p is 1/zeta(10), so divide the primes
-        # of the modulus back out and use the exact density there.
-        predicted = vol / ZETA10 * float(family_density(family))
-        for p in primes_upto(family["modulus"]):
-            if family["modulus"] % p == 0:
-                predicted /= 1.0 - p ** -10.0
+    # away from the modulus the local density is (1 - p^{-10}); their
+    # product over all p is 1/zeta(10), so divide the primes of the
+    # modulus back out and use the exact density there.
+    predicted = vol / ZETA10 * float(family_density(family))
+    for p, _ in factorize(m):
+        predicted /= 1.0 - p ** -10.0
     return CurveCount(X, count, predicted)
 
 
@@ -557,20 +608,12 @@ def family_density(family):
     when r is compatible with p^4 | A, p^6 | B, and zero otherwise; the
     primes are independent by the Chinese remainder theorem.
     """
-    m = family["modulus"]
-    pv = []
-    for p in primes_upto(m):
-        if m % p == 0:
-            v = 0
-            mm = m
-            while mm % p == 0:
-                v += 1
-                mm //= p
-            if v > 6:
-                raise QplError("family modulus exponent above 6 is not supported")
-            pv.append((p, v))
+    m, residues = _parse_family(family)
+    pv = factorize(m)
+    if any(v > 6 for _, v in pv):
+        raise QplError("family modulus exponent above 6 is not supported")
     total = Fraction(0)
-    for rA, rB in family["residues"]:
+    for rA, rB in residues:
         keep = Fraction(1)
         for p, v in pv:
             a_ok = rA % p ** min(v, 4) == 0

@@ -4,7 +4,7 @@ from math import isqrt
 import numpy as np
 
 from qpl import GroupElement, PairOfQuadrics
-from qpl.arith import (DegenerateInput, QplError, det_generic, icbrt, is_prime,
+from qpl.arith import (DegenerateInput, QplError, det_generic, iroot, is_prime,
                        mat_identity, mat_mul)
 from qpl.counting import InvariantPairCount
 
@@ -121,7 +121,7 @@ def _count_g4_backtracking(g2, A2, B2, V, p):
 def count_invariant_pairs_naive(X):
     """Brute-force double loop over the (I, J) rectangle; the oracle for
     qpl.counting.count_invariant_pairs, only sensible for small X."""
-    imax = icbrt(X - 1)
+    imax = iroot(X - 1, 3)
     jmax = isqrt(4 * X - 1)
     n_pos = n_neg = n_zero = 0
     for I in range(-imax, imax + 1):
@@ -150,3 +150,28 @@ def disc(f):
             - 4 * a * c**3 * d**2 - 27 * b**4 * e**2
             + 18 * b**3 * c * d * e - 4 * b**3 * d**3
             - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2)
+
+
+def is_minimal(A, B):
+    """No prime p with p^4 | A and p^6 | B (A = B = 0 never reaches here)."""
+    if A == 0:
+        bound = iroot(abs(B), 6)
+        return all(B % p ** 6 for p in range(2, bound + 1) if is_prime(p))
+    bound = iroot(abs(A), 4)
+    return not any(A % p ** 4 == 0 and B % p ** 6 == 0
+                   for p in range(2, bound + 1) if is_prime(p))
+
+
+def enumerate_curves_oracle(X, family=None):
+    """Brute-force double loop over the (A, B) window with trial-division
+    minimality; the oracle for the count of qpl.counting.enumerate_curves,
+    only sensible for small X."""
+    amax = 0
+    while 108 * (amax + 1) ** 3 < 4 * X:
+        amax += 1
+    bmax = isqrt((4 * X - 1) // 729)
+    m = 1 if family is None else family["modulus"]
+    residues = {(0, 0)} if family is None else {tuple(r) for r in family["residues"]}
+    return sum(1 for A in range(-amax, amax + 1) for B in range(-bmax, bmax + 1)
+               if 4 * A ** 3 + 27 * B ** 2 != 0
+               and (A % m, B % m) in residues and is_minimal(A, B))

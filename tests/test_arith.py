@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qpl.arith import (PreconditionError, complete_unimodular, det_bareiss,
-                       det_generic, ext_gcd, icbrt, iroot, is_prime,
+                       det_generic, ext_gcd, factorize, iroot, is_prime,
                        kernel_mod_p, mat_identity, mat_inv_exact, mat_mul,
                        resultant, valuation)
 
@@ -35,17 +36,28 @@ def test_ext_gcd(a, b):
         assert a % g == 0 and b % g == 0
 
 
-@given(st.integers(0, 10**12), st.integers(2, 8))
+@given(st.integers(0, 10**4000), st.integers(2, 12))
+@example(10**4000, 4)
+@example(10**4000 - 1, 4)
+@example(2**4000 - 1, 12)
 def test_iroot_floor(n, k):
     r = iroot(n, k)
     assert r ** k <= n < (r + 1) ** k
 
 
+@given(st.integers(1, 10**9))
+def test_factorize(n):
+    factors = factorize(n)
+    assert math.prod(p ** e for p, e in factors) == n
+    assert all(is_prime(p) and e >= 1 for p, e in factors)
+    assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+
+
 def test_icbrt_is_cube_root():
-    assert icbrt(0) == 0
-    assert icbrt(26) == 2
-    assert icbrt(27) == 3
-    assert icbrt(999999999) == 999
+    assert iroot(0, 3) == 0
+    assert iroot(26, 3) == 2
+    assert iroot(27, 3) == 3
+    assert iroot(999999999, 3) == 999
 
 
 def test_valuation():

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -81,6 +82,18 @@ def test_count_ij_huge_cutoff_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (["count-ij", "--cutoff", str(10 ** 19)], 2154434),
+    (["curves", "--cutoff", str(10 ** 80)], 3526844),
+])
+def test_cutoff_over_term_limit_exit_1(tmp_path, capsys, argv, terms):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert " %d terms" % terms in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -171,6 +184,34 @@ def test_curves(tmp_path, capsys):
                                   "--out-dir", str(tmp_path)])
     assert code == 0
     assert obj["count"] == 222
+
+
+def test_curves_huge_cutoff_is_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    code, obj = run_json(capsys, ["curves", "--cutoff", str(10 ** 40),
+                                  "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert obj["count"] == 212572254012850038381734081556312
+
+
+@pytest.mark.parametrize("family", [
+    {"residues": [[0, 0]]},
+    {"modulus": 2, "residues": [[3, 1]]},
+    {"modulus": 0, "residues": []},
+    {"modulus": "2", "residues": [[0, 0]]},
+    {"modulus": 2, "residues": [[0, 0, 1]]},
+    [2, [[0, 0]]],
+], ids=["missing-modulus", "residue-out-of-range", "zero-modulus",
+        "string-modulus", "long-residue", "not-an-object"])
+def test_curves_malformed_family_exit_1(tmp_path, capsys, family):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    code = main(["curves", "--cutoff", "10000", "--family", str(path),
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_sieve_scan_csv(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpl.arith import QplError
 from qpl.counting import (HAAR_EXPONENTS, CountReport, coordinate_weight,
@@ -12,10 +13,10 @@ from qpl.counting import (HAAR_EXPONENTS, CountReport, coordinate_weight,
                           enumerate_curves, family_density, plan_chunks,
                           scan_box, scan_chunks, shear_region,
                           verify_sibound_products, verify_weight_sums,
-                          weight_table, _is_minimal, ZETA10)
+                          weight_table, ZETA10)
 from qpl.forms import COORD_NAMES
 
-from conftest import count_invariant_pairs_naive
+from conftest import count_invariant_pairs_naive, enumerate_curves_oracle, is_minimal
 
 
 # -- torus weights ----------------------------------------------------------
@@ -246,9 +247,21 @@ def test_davenport_box_over_lattice_limit_raises():
      "inequalities": [{"terms": [[1, [-1]]], "op": "<=", "rhs": 0}]},
     {"dim": 1, "box": [[0, 1]],
      "inequalities": [{"terms": [[1, 1]], "op": "<=", "rhs": 0}]},
+    {"dim": 65, "box": [[0, 0]] * 65},
 ])
 def test_davenport_malformed_region_raises(region):
     with pytest.raises(QplError):
+        davenport_check(region)
+
+
+@pytest.mark.parametrize("coef, exp, message", [
+    (10 ** 400, 2, "float range"),      # Monte-Carlo volume needs floats
+    (1, 10 ** 9, "10000000000 bits"),   # refused before any power is taken
+])
+def test_davenport_region_over_limits_raises(coef, exp, message):
+    region = {"dim": 1, "box": [[0, 1000]],
+              "inequalities": [{"terms": [[coef, [exp]]], "op": "<=", "rhs": 1}]}
+    with pytest.raises(QplError, match=message):
         davenport_check(region)
 
 
@@ -256,12 +269,36 @@ def test_davenport_malformed_region_raises(region):
 
 
 def test_minimality_cases():
-    assert not _is_minimal(16, 64)    # 2^4 | A, 2^6 | B
-    assert _is_minimal(16, 32)
-    assert not _is_minimal(0, 64)
-    assert not _is_minimal(81, 729)   # 3^4 | A, 3^6 | B
-    assert _is_minimal(1, 1)
-    assert _is_minimal(0, 1)
+    assert not is_minimal(16, 64)    # 2^4 | A, 2^6 | B
+    assert is_minimal(16, 32)
+    assert not is_minimal(0, 64)
+    assert not is_minimal(81, 729)   # 3^4 | A, 3^6 | B
+    assert is_minimal(1, 1)
+    assert is_minimal(0, 1)
+
+
+@st.composite
+def families(draw):
+    m = draw(st.integers(1, 64))
+    residue = st.lists(st.integers(0, m - 1), min_size=2, max_size=2)
+    return {"modulus": m, "residues": draw(st.lists(residue, max_size=6))}
+
+
+# At X = 10^7 the window admits B' != 0 at d = 2, and this family tells
+# d^4 from d^6 and k from k^3 in the cusp classes.
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10 ** 6), st.none() | families())
+@example(10 ** 7, {"modulus": 7, "residues": [[r, s] for r in range(7)
+                                              for s in range(7) if (r + s) % 3 == 0]})
+def test_curves_match_oracle(X, family):
+    assert enumerate_curves(X, family).count == enumerate_curves_oracle(X, family)
+
+
+def test_curves_repeated_residue_counts_once():
+    once = {"modulus": 2, "residues": [[1, 1]]}
+    twice = {"modulus": 2, "residues": [[1, 1], [1, 1]]}
+    assert enumerate_curves(10 ** 4, twice) == enumerate_curves(10 ** 4, once)
+    assert family_density(twice) == family_density(once) == Fraction(1, 4)
 
 
 def test_curves_tiny():
