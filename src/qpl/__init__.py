@@ -25,7 +25,7 @@ from .sieve import (apply_gamma_p, gamma_p, in_Wp, in_Wp1, in_Wp2,
                     verify_gamma_descent)
 from .counting import (CountReport, DavenportReport, HAAR_EXPONENTS,
                        coordinate_weight, count_invariant_pairs,
-                       davenport_check, enumerate_curves, scan_box, scan_chunks,
+                       davenport_check, enumerate_curves, scan_box,
                        verify_sibound_products, weight_table)
 from .selmer import (LPResult, SelmerShape, extremal_bound,
                      pointwise_inequality, solve_equality_lp)

@@ -317,13 +317,3 @@ def kernel_mod_p(M, p):
             vec[pc] = (-A[i][fc]) % p
         basis.append(vec)
     return basis
-
-
-def mat_inv_mod(M, p):
-    """Inverse of a square matrix over F_p (entries in [0,p))."""
-    n = len(M)
-    A, pivots = _rref_mod_p([list(row) + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(M)], p)
-    if pivots != list(range(n)):
-        raise QplError("matrix not invertible mod %d" % p)
-    return [row[n:] for row in A]

@@ -26,10 +26,9 @@ from .forms import (PairOfQuadrics, invariants, reducibility_case,
                     resolvent_quartic, twist_identity_check)
 from .quartic import disc_is_zero, disc_via_resultant, rational_linear_factor
 from .realgeom import is_R_soluble, real_class
-from .counting import (count_invariant_pairs, davenport_check,
-                       enumerate_curves, scan_box, shear_region,
-                       verify_sibound_products, verify_weight_sums,
-                       PREDICATES)
+from .counting import (DEFAULT_CHUNK, PREDICATES, count_invariant_pairs,
+                       davenport_check, enumerate_curves, scan_box, shear_region,
+                       verify_sibound_products, verify_weight_sums)
 from .localfp import (curve_four_torsion, curve_from_invariants,
                       jacobian_four_torsion_small_p, qp_soluble,
                       stabilizer_order_fp)
@@ -155,21 +154,14 @@ def cmd_count_ij(args):
 
 
 def cmd_scan_box(args):
-    seed = _resolve_seed(args)
-    predicates = tuple(args.predicates.split(",")) if args.predicates else \
-        ("disc_nonzero", "strongly_irreducible")
-    checkpoints = []
-
-    def note(report):
-        checkpoints.append(report.chunks[-1][0])
-
-    report = scan_box(args.bound, args.samples, seed, predicates,
-                      chunk_size=args.chunk_size, on_chunk_done=note)
+    names = {"predicate_names": args.predicates.split(",")} if args.predicates else {}
+    report = scan_box(args.bound, args.samples, _resolve_seed(args),
+                      chunk_size=args.chunk_size, **names)
     return _emit_json(args, "scan-box",
                       {"bound": args.bound, "samples": args.samples,
-                       "predicates": list(predicates),
+                       "predicates": list(report.counts),
                        "chunk_size": args.chunk_size},
-                      report.to_json_dict(), checkpoints)
+                      report.to_json_dict(), [k for k, _ in report.chunks])
 
 
 def cmd_davenport(args):
@@ -320,7 +312,7 @@ def build_parser():
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chunk-size", type=int, default=1024)
+    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
     p.add_argument("--predicates", default=None,
                    help="comma-separated subset of: %s" % ",".join(sorted(PREDICATES)))
 

@@ -7,16 +7,16 @@ Weierstrass curves of bounded height.
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from .arith import QplError, factorize, iroot
-from .forms import (COORD_NAMES, PairOfQuadrics, invariants, is_strongly_irreducible,
-                    reducibility_case)
-from .quartic import rational_linear_factor
+from .forms import (COORD_NAMES, InvariantPair, PairOfQuadrics, is_strongly_irreducible,
+                    reducibility_case, resolvent_quartic)
+from .quartic import quartic_invariants, rational_linear_factor
 
 # ---------------------------------------------------------------------------
 # torus weights
@@ -148,34 +148,15 @@ def count_invariant_pairs(X):
 # ---------------------------------------------------------------------------
 # reproducible randomized scans over coordinate boxes
 
-
-def _predicate_disc_nonzero(pair):
-    return invariants(pair).scaled_disc != 0
-
-
-def _predicate_rational_root(pair):
-    return rational_linear_factor(pair.resolvent_quartic()) is not None
-
-
-def _predicate_cusp_condition(pair):
-    return reducibility_case(pair) is not None
-
-
-def _predicate_positive_disc(pair):
-    return invariants(pair).scaled_disc > 0
-
-
-def _predicate_negative_disc(pair):
-    return invariants(pair).scaled_disc < 0
-
-
+# Each predicate reads a pair, its resolvent quartic f and its scaled
+# discriminant 4I^3 - J^2, which scan_box builds once per row.
 PREDICATES = {
-    "disc_nonzero": _predicate_disc_nonzero,
-    "strongly_irreducible": is_strongly_irreducible,
-    "rational_root": _predicate_rational_root,
-    "cusp_condition": _predicate_cusp_condition,
-    "positive_disc": _predicate_positive_disc,
-    "negative_disc": _predicate_negative_disc,
+    "disc_nonzero": lambda pair, f, sd: sd != 0,
+    "strongly_irreducible": lambda pair, f, sd: is_strongly_irreducible(f),
+    "rational_root": lambda pair, f, sd: rational_linear_factor(f) is not None,
+    "cusp_condition": lambda pair, f, sd: reducibility_case(pair) is not None,
+    "positive_disc": lambda pair, f, sd: sd > 0,
+    "negative_disc": lambda pair, f, sd: sd < 0,
 }
 
 DEFAULT_CHUNK = 1024
@@ -188,20 +169,7 @@ class CountReport:
     seed: int
     chunk_size: int
     counts: dict
-    chunks: list = field(default_factory=list)   # (chunk_index, rows_used)
-
-    def merge(self, other):
-        if (self.bound, self.seed, self.chunk_size) != (other.bound, other.seed, other.chunk_size):
-            raise QplError("cannot merge reports with different scan parameters")
-        mine = {k for k, _ in self.chunks}
-        if mine & {k for k, _ in other.chunks}:
-            raise QplError("cannot merge reports with overlapping chunks")
-        counts = dict(self.counts)
-        for k, v in other.counts.items():
-            counts[k] = counts.get(k, 0) + v
-        return CountReport(self.bound, self.samples + other.samples, self.seed,
-                           self.chunk_size, counts,
-                           sorted(self.chunks + other.chunks))
+    chunks: list          # (chunk_index, rows_used)
 
     def to_json_dict(self):
         return {
@@ -219,56 +187,35 @@ def _chunk_rng(seed, chunk_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def scan_chunks(bound, seed, chunk_plan, predicate_names, chunk_size=DEFAULT_CHUNK,
-                on_chunk_done=None):
-    """Evaluate predicates on uniform integer pairs from [-bound, bound]^20.
+def scan_box(bound, samples, seed, predicate_names=("disc_nonzero", "strongly_irreducible"),
+             chunk_size=DEFAULT_CHUNK):
+    """Count the pairs satisfying each predicate among `samples` uniform
+    integral pairs from [-bound, bound]^20.
 
-    chunk_plan is a list of (chunk_index, rows_used); each logical chunk
-    is generated from its own counter-based stream keyed by (seed,
-    chunk_index), so partitioning the work differently cannot change the
-    draws and reports from disjoint chunk sets merge exactly.
+    Chunk k = 0, 1, ... draws chunk_size x 20 int64 from the Philox stream
+    keyed by (seed, k) and uses its first rows, chunk_size of them except
+    in the last chunk.  A predicate named twice counts once.
     """
+    if chunk_size < 1:
+        raise QplError("chunk size must be a positive integer, got %r" % (chunk_size,))
     for name in predicate_names:
         if name not in PREDICATES:
             raise QplError("unknown predicate %r" % (name,))
-    counts = {name: 0 for name in predicate_names}
-    done = []
-    for chunk_index, rows_used in chunk_plan:
-        if not 0 < rows_used <= chunk_size:
-            raise QplError("bad chunk plan entry %r" % ((chunk_index, rows_used),))
-        rng = _chunk_rng(seed, chunk_index)
-        draws = rng.integers(-bound, bound + 1, size=(chunk_size, 20), dtype=np.int64)
-        for row in draws[:rows_used]:
-            pair = PairOfQuadrics([int(v) for v in row])
-            for name in predicate_names:
-                if PREDICATES[name](pair):
+    counts = dict.fromkeys(predicate_names, 0)
+    chunks = []
+    for chunk_index in range(-(-samples // chunk_size)):
+        rows_used = min(chunk_size, samples - chunk_index * chunk_size)
+        draws = _chunk_rng(seed, chunk_index).integers(
+            -bound, bound + 1, size=(chunk_size, 20), dtype=np.int64)
+        for row in draws[:rows_used].tolist():
+            pair = PairOfQuadrics(row)
+            f = resolvent_quartic(pair)
+            sd = InvariantPair(*quartic_invariants(f)).scaled_disc
+            for name in counts:
+                if PREDICATES[name](pair, f, sd):
                     counts[name] += 1
-        done.append((chunk_index, rows_used))
-        if on_chunk_done is not None:
-            on_chunk_done(CountReport(bound, sum(r for _, r in done), seed,
-                                      chunk_size, dict(counts), list(done)))
-    return CountReport(bound, sum(r for _, r in done), seed, chunk_size,
-                       counts, done)
-
-
-def plan_chunks(samples, chunk_size=DEFAULT_CHUNK, start=0):
-    """Chunk plan covering logical samples [start*chunk_size, ... ) up to
-    the requested total."""
-    plan = []
-    k = start
-    remaining = samples
-    while remaining > 0:
-        take = min(chunk_size, remaining)
-        plan.append((k, take))
-        remaining -= take
-        k += 1
-    return plan
-
-
-def scan_box(bound, samples, seed, predicate_names=("disc_nonzero", "strongly_irreducible"),
-             chunk_size=DEFAULT_CHUNK, on_chunk_done=None):
-    return scan_chunks(bound, seed, plan_chunks(samples, chunk_size),
-                       predicate_names, chunk_size, on_chunk_done)
+        chunks.append((chunk_index, rows_used))
+    return CountReport(bound, sum(r for _, r in chunks), seed, chunk_size, counts, chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +501,18 @@ def _congruent_count(s, r, m, bound):
     return (bound - x0) // step - (-bound - 1 - x0) // step
 
 
+def _mobius(n):
+    """[mu(0), ..., mu(n)] by a sieve of Eratosthenes (mu(0) is unused)."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p::p] = True
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+    return mu.tolist()
+
+
 def enumerate_curves(X, family=None):
     """Count minimal curves y^2 = x^3 + A x + B with 108|A|^3 < 4X and
     729 B^2 < 4X (the height window matching invariant pairs via
@@ -576,9 +535,9 @@ def enumerate_curves(X, family=None):
     D = max(iroot(amax, 4), iroot(bmax, 6))
     _check_terms("the Moebius sum", D * max(m, len(residues)))
     count = 0
+    mu = _mobius(D)
     for d in range(1, D + 1):
-        factors = factorize(d)
-        if any(e > 1 for _, e in factors):
+        if mu[d] == 0:
             continue
         a, b = amax // d ** 4, bmax // d ** 6
         sa, sb = d ** 4 % m, d ** 6 % m
@@ -588,7 +547,7 @@ def enumerate_curves(X, family=None):
         cusp = isqrt(a // 3)
         n -= sum(_congruent_count(1, k, m, cusp) for k in range(m)
                  if (-3 * sa * k * k % m, 2 * sb * k ** 3 % m) in residues)
-        count += (-1) ** len(factors) * n
+        count += mu[d] * n
     vol = 8.0 * X ** (5.0 / 6.0) / 81.0
     # away from the modulus the local density is (1 - p^{-10}); their
     # product over all p is 1/zeta(10), so divide the primes of the
@@ -610,8 +569,6 @@ def family_density(family):
     """
     m, residues = _parse_family(family)
     pv = factorize(m)
-    if any(v > 6 for _, v in pv):
-        raise QplError("family modulus exponent above 6 is not supported")
     total = Fraction(0)
     for rA, rB in residues:
         keep = Fraction(1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (QplError, _PERMS, det_generic, mat_identity, mat_inv_exact,
-                    mat_inv_mod, mat_mul, mat_eq)
+                    mat_mul, mat_eq)
 from .quartic import (BinaryQuartic, compose_row, disc_is_zero, quartic_invariants,
                       rational_linear_factor)
 
@@ -154,14 +154,6 @@ class PairOfQuadrics:
     def __repr__(self):
         return "PairOfQuadrics(%s)" % (self.to_string(),)
 
-    # -- resolvent and invariants -----------------------------------------
-
-    def resolvent_quartic(self):
-        return resolvent_quartic(self)
-
-    def invariants(self):
-        return invariants(self)
-
 
 def _as_exact(v):
     if isinstance(v, Fraction) and v.denominator == 1:
@@ -238,92 +230,68 @@ def invariants(pair):
 class GroupElement:
     """(g2, g4) with det(g2) det(g4) = 1, modulo the scaling (u^-2 I2, u I4).
 
-    Over F_p pass modulus=p; the determinant condition and equality are
-    then taken mod p.  Entries may be ints or Fractions otherwise.
+    Entries may be ints or Fractions.
     """
 
-    __slots__ = ("g2", "g4", "modulus")
+    __slots__ = ("g2", "g4")
 
-    def __init__(self, g2, g4, modulus=None):
+    def __init__(self, g2, g4):
         self.g2 = tuple(tuple(row) for row in g2)
         self.g4 = tuple(tuple(row) for row in g4)
-        self.modulus = modulus
         d = det_generic(self.g2) * det_generic(self.g4)
-        ok = (d - 1) % modulus == 0 if modulus else d == 1
-        if not ok:
+        if d != 1:
             raise QplError("det(g2)*det(g4) must be 1, got %s" % (d,))
 
     @classmethod
-    def identity(cls, modulus=None):
-        return cls(mat_identity(2), mat_identity(4), modulus)
+    def identity(cls):
+        return cls(mat_identity(2), mat_identity(4))
 
     @classmethod
-    def from_g2(cls, g2, modulus=None):
+    def from_g2(cls, g2):
         """Embed an SL2 element (det(g2) must be 1)."""
-        return cls(g2, mat_identity(4), modulus)
+        return cls(g2, mat_identity(4))
 
     @classmethod
-    def from_g4(cls, g4, modulus=None):
+    def from_g4(cls, g4):
         """Embed an SL4 element (det(g4) must be 1)."""
-        return cls(mat_identity(2), g4, modulus)
+        return cls(mat_identity(2), g4)
 
     def det2(self):
-        d = det_generic(self.g2)
-        return d % self.modulus if self.modulus else d
+        return det_generic(self.g2)
 
     def det4(self):
-        d = det_generic(self.g4)
-        return d % self.modulus if self.modulus else d
+        return det_generic(self.g4)
 
     def compose(self, other):
         """self after other: act(self.compose(other), v) = act(self, act(other, v))."""
-        if self.modulus != other.modulus:
-            raise QplError("modulus mismatch in composition")
-        g2 = mat_mul(self.g2, other.g2)
-        g4 = mat_mul(self.g4, other.g4)
-        if self.modulus:
-            g2 = [[x % self.modulus for x in row] for row in g2]
-            g4 = [[x % self.modulus for x in row] for row in g4]
-        return GroupElement(g2, g4, self.modulus)
+        return GroupElement(mat_mul(self.g2, other.g2), mat_mul(self.g4, other.g4))
 
     def inverse(self):
-        if self.modulus:
-            p = self.modulus
-            inv2 = mat_inv_mod(self.g2, p)
-            inv4 = mat_inv_mod(self.g4, p)
-            return GroupElement(inv2, inv4, p)
         return GroupElement(mat_inv_exact(self.g2), mat_inv_exact(self.g4))
 
     def canonical(self):
         """Scale by the central (u^-2, u) so the first nonzero g4 entry is 1."""
         flat = [self.g4[i][j] for i in range(4) for j in range(4)]
-        c = next((x for x in flat if (x % self.modulus if self.modulus else x) != 0), None)
+        c = next((x for x in flat if x != 0), None)
         if c is None:
             raise QplError("g4 is zero")
-        if self.modulus:
-            u = pow(int(c), -1, self.modulus)
-            g4 = [[(x * u) % self.modulus for x in row] for row in self.g4]
-            u2 = pow(u, -2, self.modulus)
-            g2 = [[(x * u2) % self.modulus for x in row] for row in self.g2]
-        else:
-            u = Fraction(1, 1) / Fraction(c)
-            g4 = [[_as_exact(Fraction(x) * u) for x in row] for row in self.g4]
-            g2 = [[_as_exact(Fraction(x) / u ** 2) for x in row] for row in self.g2]
-        return GroupElement(g2, g4, self.modulus)
+        u = Fraction(1, 1) / Fraction(c)
+        g4 = [[_as_exact(Fraction(x) * u) for x in row] for row in self.g4]
+        g2 = [[_as_exact(Fraction(x) / u ** 2) for x in row] for row in self.g2]
+        return GroupElement(g2, g4)
 
     def __eq__(self, other):
-        if not isinstance(other, GroupElement) or self.modulus != other.modulus:
+        if not isinstance(other, GroupElement):
             return False
         a, b = self.canonical(), other.canonical()
         return mat_eq(a.g2, b.g2) and mat_eq(a.g4, b.g4)
 
     def __hash__(self):
         c = self.canonical()
-        return hash((c.g2, c.g4, c.modulus))
+        return hash((c.g2, c.g4))
 
     def __repr__(self):
-        return "GroupElement(g2=%r, g4=%r%s)" % (
-            self.g2, self.g4, ", mod %d" % self.modulus if self.modulus else "")
+        return "GroupElement(g2=%r, g4=%r)" % (self.g2, self.g4)
 
 
 def act(g, pair):
@@ -343,10 +311,7 @@ def act(g, pair):
         for i, j in _IJ:
             v = _half(M[i][i]) if i == j else M[i][j]
             coords.append(v)
-    out = PairOfQuadrics(coords)
-    if g.modulus:
-        out = out.reduce_mod(g.modulus)
-    return out
+    return PairOfQuadrics(coords)
 
 
 def _congruence(g, M):
@@ -372,11 +337,7 @@ def twist_identity_check(g, pair):
     lhs = resolvent_quartic(act(g, pair))
     f = resolvent_quartic(pair)
     d4 = det_generic(g.g4)
-    rhs = compose_row(f, g.g2).scale(d4 * d4)
-    if g.modulus:
-        lhs = lhs.reduce_mod(g.modulus)
-        rhs = rhs.reduce_mod(g.modulus)
-    return lhs == rhs
+    return lhs == compose_row(f, g.g2).scale(d4 * d4)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +362,16 @@ def reducibility_case(pair):
     return None
 
 
-def is_strongly_irreducible(pair):
-    """disc != 0 and the resolvent quartic has no root in P^1(Q)."""
-    f = resolvent_quartic(pair)
+def _as_quartic(obj):
+    if isinstance(obj, PairOfQuadrics):
+        return resolvent_quartic(obj)
+    return obj
+
+
+def is_strongly_irreducible(pair_or_quartic):
+    """disc != 0 and the resolvent quartic has no root in P^1(Q); takes a
+    pair or its resolvent."""
+    f = _as_quartic(pair_or_quartic)
     if disc_is_zero(f):
         return False
     return rational_linear_factor(f) is None

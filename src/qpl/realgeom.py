@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .arith import (DegenerateInput, PreconditionError, QplError, iroot,
                     leading_principal_minors)
-from .forms import PairOfQuadrics, resolvent_quartic
+from .forms import PairOfQuadrics, _as_quartic, resolvent_quartic
 from .quartic import disc_is_zero, real_projective_root_count, real_root_separators
 
 
@@ -25,12 +25,6 @@ def real_class(pair_or_quartic):
         raise DegenerateInput("resolvent has vanishing discriminant")
     n_real = real_projective_root_count(f)
     return (4 - n_real) // 2
-
-
-def _as_quartic(obj):
-    if isinstance(obj, PairOfQuadrics):
-        return resolvent_quartic(obj)
-    return obj
 
 
 def is_R_soluble(pair):

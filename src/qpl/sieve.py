@@ -53,9 +53,9 @@ def in_Wp1(pair, p):
     "direction": coordinate_name}.
     """
     _check_prime(p)
-    if not in_Wp(pair, p):
-        return False, {"reason": "valuation", "direction": None}
     d0 = _scaled_disc(pair)
+    if d0 != 0 and d0 % (p * p) != 0:
+        return False, {"reason": "valuation", "direction": None}
     coords = list(pair.coords)
     for t, name in enumerate(COORD_NAMES):
         bumped = list(coords)
@@ -244,9 +244,7 @@ def sieve_scan(primes, samples, coeff_bound, seed):
         for _ in range(samples):
             pair = PairOfQuadrics([rng.randint(-coeff_bound, coeff_bound)
                                    for _ in range(20)])
-            if _scaled_disc(pair) == 0:
-                continue
-            if not in_Wp(pair, p):
+            if not in_Wp(pair, p) or _scaled_disc(pair) == 0:
                 continue
             n_wp += 1
             deep, _ = in_Wp1(pair, p)

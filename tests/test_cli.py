@@ -134,6 +134,15 @@ def test_scan_box_checkpoints(tmp_path, capsys):
     assert manifest["checkpoints"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("chunk_size", ["0", "-5"])
+def test_scan_box_bad_chunk_size_exit_1(tmp_path, capsys, chunk_size):
+    code = main(["scan-box", "--bound", "3", "--samples", "10", "--chunk-size",
+                 chunk_size, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_davenport_shear(tmp_path, capsys):
     code, obj = run_json(capsys, ["davenport", "--shear", "10",
                                   "--out-dir", str(tmp_path)])
@@ -184,6 +193,15 @@ def test_curves(tmp_path, capsys):
                                   "--out-dir", str(tmp_path)])
     assert code == 0
     assert obj["count"] == 222
+
+
+def test_curves_modulus_128_family(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"modulus": 128, "residues": [[1, 1], [3, 5]]}))
+    code, obj = run_json(capsys, ["curves", "--cutoff", "10000", "--family", str(path),
+                                  "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert obj["count"] > 0
 
 
 def test_curves_huge_cutoff_is_fast(tmp_path, capsys):

@@ -4,17 +4,21 @@ lattice-vs-volume comparisons, and curve enumeration."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpl.arith import QplError
-from qpl.counting import (HAAR_EXPONENTS, CountReport, coordinate_weight,
+import qpl.counting
+from qpl.counting import (HAAR_EXPONENTS, PREDICATES, coordinate_weight,
                           count_invariant_pairs, davenport_check,
-                          enumerate_curves, family_density, plan_chunks,
-                          scan_box, scan_chunks, shear_region,
-                          verify_sibound_products, verify_weight_sums,
-                          weight_table, ZETA10)
-from qpl.forms import COORD_NAMES
+                          enumerate_curves, family_density, scan_box,
+                          shear_region, verify_sibound_products,
+                          verify_weight_sums, weight_table, ZETA10)
+from qpl.forms import (COORD_NAMES, PairOfQuadrics, invariants,
+                       is_strongly_irreducible, reducibility_case,
+                       resolvent_quartic)
+from qpl.quartic import rational_linear_factor
 
 from conftest import count_invariant_pairs_naive, enumerate_curves_oracle, is_minimal
 
@@ -92,23 +96,63 @@ def test_count_rejects_bad_cutoff():
 # -- box scans --------------------------------------------------------------
 
 
-def test_plan_chunks():
-    assert plan_chunks(2000, 1024) == [(0, 1024), (1, 976)]
-    assert plan_chunks(10, 1024) == [(0, 10)]
-    assert plan_chunks(2048, 1024, start=3) == [(3, 1024), (4, 1024)]
+def documented_rows(bound, samples, seed, chunk_size):
+    """The rows scan_box documents: chunk k draws chunk_size x 20 int64
+    from Philox keyed by (seed, k), and its first rows are used."""
+    rows = []
+    for k in range(-(-samples // chunk_size)):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        draws = rng.integers(-bound, bound + 1, size=(chunk_size, 20), dtype=np.int64)
+        rows.extend(draws[:min(chunk_size, samples - k * chunk_size)].tolist())
+    return rows
 
 
-def test_scan_partition_independence():
-    names = ("disc_nonzero", "strongly_irreducible")
-    full = scan_box(4, 600, seed=11, predicate_names=names, chunk_size=256)
-    parts = [scan_chunks(4, 11, [entry], names, chunk_size=256)
-             for entry in plan_chunks(600, 256)]
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    assert merged.counts == full.counts
-    assert merged.samples == full.samples == 600
-    assert sorted(merged.chunks) == sorted(full.chunks)
+RECOUNT = {
+    "disc_nonzero": lambda pair: invariants(pair).scaled_disc != 0,
+    "strongly_irreducible": is_strongly_irreducible,
+    "rational_root": lambda pair:
+        rational_linear_factor(resolvent_quartic(pair)) is not None,
+    "cusp_condition": lambda pair: reducibility_case(pair) is not None,
+    "positive_disc": lambda pair: invariants(pair).scaled_disc > 0,
+    "negative_disc": lambda pair: invariants(pair).scaled_disc < 0,
+}
+
+WIDE = ("disc_nonzero", "positive_disc", "negative_disc", "cusp_condition")
+
+
+# The root search is infeasible on 10^12 coordinates, so that box checks
+# the predicates without it.
+@pytest.mark.parametrize("bound, samples, seed, chunk_size, names", [
+    (4, 300, 11, 128, tuple(PREDICATES)),
+    (2, 300, 11, 1024, tuple(PREDICATES)),
+    (10 ** 12, 70, 3, 32, WIDE),
+])
+def test_scan_matches_row_by_row_recount(bound, samples, seed, chunk_size, names):
+    assert set(RECOUNT) == set(PREDICATES)
+    rep = scan_box(bound, samples, seed, names, chunk_size=chunk_size)
+    expected = dict.fromkeys(names, 0)
+    for row in documented_rows(bound, samples, seed, chunk_size):
+        pair = PairOfQuadrics(row)
+        for name in names:
+            expected[name] += RECOUNT[name](pair)
+    assert rep.counts == expected
+    assert rep.samples == samples
+    assert rep.chunks == [(k, min(chunk_size, samples - k * chunk_size))
+                          for k in range(-(-samples // chunk_size))]
+
+
+@pytest.mark.parametrize("names", [("disc_nonzero", "strongly_irreducible"), WIDE])
+def test_scan_builds_one_resolvent_per_row(monkeypatch, names):
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return resolvent_quartic(pair)
+
+    monkeypatch.setattr(qpl.counting, "resolvent_quartic", counted)
+    rep = scan_box(3, 150, seed=4, predicate_names=names, chunk_size=64)
+    assert rep.samples == len(calls) == 150
 
 
 def test_scan_counts_consistent():
@@ -130,24 +174,15 @@ def test_scan_is_deterministic():
     assert c.counts != a.counts or c.seed != a.seed
 
 
-def test_merge_guards():
-    a = scan_box(3, 100, seed=5)
-    with pytest.raises(QplError):
-        a.merge(scan_box(3, 100, seed=6))       # different seed
-    with pytest.raises(QplError):
-        a.merge(a)                              # overlapping chunks
-
-
 def test_scan_unknown_predicate():
     with pytest.raises(QplError):
         scan_box(3, 10, seed=0, predicate_names=("no_such_thing",))
 
 
-def test_chunk_callback():
-    seen = []
-    scan_box(3, 600, seed=2, chunk_size=256, on_chunk_done=seen.append)
-    assert [r.samples for r in seen] == [256, 512, 600]
-    assert all(isinstance(r, CountReport) for r in seen)
+def test_scan_repeated_predicate_counts_once():
+    once = scan_box(3, 50, seed=1, predicate_names=("disc_nonzero",))
+    twice = scan_box(3, 50, seed=1, predicate_names=("disc_nonzero", "disc_nonzero"))
+    assert twice.counts == once.counts == {"disc_nonzero": 49}
 
 
 # -- lattice points vs volume -----------------------------------------------
@@ -284,12 +319,19 @@ def families(draw):
     return {"modulus": m, "residues": draw(st.lists(residue, max_size=6))}
 
 
+# A modulus with 2^7 | m: classes (0, 0) and (16, 64) force 2^4 | A and
+# 2^6 | B, so they hold no minimal curve; the density is 2 / 128^2.
+MOD128 = {"modulus": 128, "residues": [[0, 0], [1, 1], [3, 5], [16, 64]]}
+
+
 # At X = 10^7 the window admits B' != 0 at d = 2, and this family tells
 # d^4 from d^6 and k from k^3 in the cusp classes.
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10 ** 6), st.none() | families())
 @example(10 ** 7, {"modulus": 7, "residues": [[r, s] for r in range(7)
                                               for s in range(7) if (r + s) % 3 == 0]})
+@example(10 ** 4, MOD128)
+@example(10 ** 7, MOD128)
 def test_curves_match_oracle(X, family):
     assert enumerate_curves(X, family).count == enumerate_curves_oracle(X, family)
 
@@ -326,6 +368,7 @@ def test_family_density_exact():
     assert family_density(fam) == 1 - Fraction(1, 1024)
     only_odd = {"modulus": 2, "residues": [[1, 1]]}
     assert family_density(only_odd) == Fraction(1, 4)
+    assert family_density(MOD128) == Fraction(1, 8192)
 
 
 def test_zeta10_value():
