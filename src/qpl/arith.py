@@ -129,18 +129,37 @@ def iroot(n, k):
         r = s
 
 
+# Miller-Rabin on the prime bases 2..41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+MR_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n):
+    """Whether n is prime, by deterministic Miller-Rabin; n must be below
+    MR_LIMIT (about 3.3 * 10^24), or QplError is raised."""
+    if n >= MR_LIMIT:
+        raise QplError("primality of %d is only decided below %d" % (n, MR_LIMIT))
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

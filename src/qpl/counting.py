@@ -9,14 +9,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
 from .arith import QplError, factorize, iroot
-from .forms import (COORD_NAMES, InvariantPair, PairOfQuadrics, is_strongly_irreducible,
-                    reducibility_case, resolvent_quartic)
-from .quartic import quartic_invariants, rational_linear_factor
+from .forms import (COORD_NAMES, coord_columns, cusp_mask, resolvent_coeffs,
+                    scaled_discs)
+from .quartic import BinaryQuartic, rational_linear_factor, root_free_mask
 
 # ---------------------------------------------------------------------------
 # torus weights
@@ -148,18 +149,50 @@ def count_invariant_pairs(X):
 # ---------------------------------------------------------------------------
 # reproducible randomized scans over coordinate boxes
 
-# Each predicate reads a pair, its resolvent quartic f and its scaled
-# discriminant 4I^3 - J^2, which scan_box builds once per row.
+class _ChunkColumns:
+    """One chunk of a scan as 20 coordinate columns.  Its resolvent
+    coefficients, scaled discriminants 4I^3 - J^2 and rational-root mask
+    are each computed once, for the whole chunk, when first needed."""
+
+    def __init__(self, coords):
+        self.coords = coords
+
+    @cached_property
+    def coeffs(self):
+        return resolvent_coeffs(self.coords)
+
+    @cached_property
+    def sd(self):
+        return scaled_discs(self.coeffs)
+
+    @cached_property
+    def has_root(self):
+        """Which rows' resolvents have a root in P^1(Q); the exact search
+        runs only on the rows the local root sieve cannot certify."""
+        out = np.zeros(len(self.coords[0]), dtype=bool)
+        for i in np.flatnonzero(~root_free_mask(self.coeffs)).tolist():
+            f = BinaryQuartic(*(int(c[i]) for c in self.coeffs))
+            out[i] = rational_linear_factor(f) is not None
+        return out
+
+
+# Each predicate maps a chunk's columns to a boolean mask over its rows.
 PREDICATES = {
-    "disc_nonzero": lambda pair, f, sd: sd != 0,
-    "strongly_irreducible": lambda pair, f, sd: is_strongly_irreducible(f),
-    "rational_root": lambda pair, f, sd: rational_linear_factor(f) is not None,
-    "cusp_condition": lambda pair, f, sd: reducibility_case(pair) is not None,
-    "positive_disc": lambda pair, f, sd: sd > 0,
-    "negative_disc": lambda pair, f, sd: sd < 0,
+    "disc_nonzero": lambda ch: ch.sd != 0,
+    "strongly_irreducible": lambda ch: (ch.sd != 0) & ~ch.has_root,
+    "rational_root": lambda ch: ch.has_root,
+    "cusp_condition": lambda ch: cusp_mask(ch.coords),
+    "positive_disc": lambda ch: ch.sd > 0,
+    "negative_disc": lambda ch: ch.sd < 0,
 }
 
 DEFAULT_CHUNK = 1024
+
+# Largest chunk scan_box accepts.  On the object path each of the few dozen
+# live intermediate columns of resolvent_coeffs holds one Python int per
+# row: a 65536-row chunk at bound 10^12 peaked about 175 MB above the
+# interpreter's footprint (Python 3.11, numpy 2.4).
+MAX_CHUNK_ROWS = 65536
 
 
 @dataclass
@@ -194,10 +227,14 @@ def scan_box(bound, samples, seed, predicate_names=("disc_nonzero", "strongly_ir
 
     Chunk k = 0, 1, ... draws chunk_size x 20 int64 from the Philox stream
     keyed by (seed, k) and uses its first rows, chunk_size of them except
-    in the last chunk.  A predicate named twice counts once.
+    in the last chunk; chunk_size is at most MAX_CHUNK_ROWS.  Each chunk is
+    evaluated as columns (see _ChunkColumns): int64 when the bound proves
+    the resolvent cannot overflow, exact Python ints otherwise.  A
+    predicate named twice counts once.
     """
-    if chunk_size < 1:
-        raise QplError("chunk size must be a positive integer, got %r" % (chunk_size,))
+    if not 1 <= chunk_size <= MAX_CHUNK_ROWS:
+        raise QplError("chunk size must be an integer in [1, %d], got %r"
+                       % (MAX_CHUNK_ROWS, chunk_size))
     for name in predicate_names:
         if name not in PREDICATES:
             raise QplError("unknown predicate %r" % (name,))
@@ -207,13 +244,9 @@ def scan_box(bound, samples, seed, predicate_names=("disc_nonzero", "strongly_ir
         rows_used = min(chunk_size, samples - chunk_index * chunk_size)
         draws = _chunk_rng(seed, chunk_index).integers(
             -bound, bound + 1, size=(chunk_size, 20), dtype=np.int64)
-        for row in draws[:rows_used].tolist():
-            pair = PairOfQuadrics(row)
-            f = resolvent_quartic(pair)
-            sd = InvariantPair(*quartic_invariants(f)).scaled_disc
-            for name in counts:
-                if PREDICATES[name](pair, f, sd):
-                    counts[name] += 1
+        chunk = _ChunkColumns(coord_columns(draws[:rows_used], bound))
+        for name in counts:
+            counts[name] += int(np.count_nonzero(PREDICATES[name](chunk)))
         chunks.append((chunk_index, rows_used))
     return CountReport(bound, sum(r for _, r in chunks), seed, chunk_size, counts, chunks)
 

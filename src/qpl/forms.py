@@ -18,7 +18,9 @@ purely algebraic operation here).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (QplError, _PERMS, det_generic, mat_identity, mat_inv_exact,
+import numpy as np
+
+from .arith import (QplError, det_generic, iroot, mat_identity, mat_inv_exact,
                     mat_mul, mat_eq)
 from .quartic import (BinaryQuartic, compose_row, disc_is_zero, quartic_invariants,
                       rational_linear_factor)
@@ -94,15 +96,7 @@ class PairOfQuadrics:
 
     def gram2(self, which):
         """The integral matrix 2A (which=0) or 2B (which=1)."""
-        cs = self.a_coords() if which == 0 else self.b_coords()
-        M = [[None] * 4 for _ in range(4)]
-        for (i, j), c in zip(_IJ, cs):
-            if i == j:
-                M[i][i] = 2 * c
-            else:
-                M[i][j] = c
-                M[j][i] = c
-        return M
+        return _gram_rows(self.a_coords() if which == 0 else self.b_coords())
 
     def upper(self, which):
         """Upper-triangular coefficient matrix U with Q(x) = x^T U x."""
@@ -155,36 +149,89 @@ class PairOfQuadrics:
         return "PairOfQuadrics(%s)" % (self.to_string(),)
 
 
+def _gram_rows(cs):
+    """The doubled Gram matrix of one form's 10 coordinates, as rows."""
+    M = [[None] * 4 for _ in range(4)]
+    for (i, j), c in zip(_IJ, cs):
+        M[i][j] = M[j][i] = 2 * c if i == j else c
+    return M
+
+
 def _as_exact(v):
     if isinstance(v, Fraction) and v.denominator == 1:
         return v.numerator
     return v
 
 
-def resolvent_quartic(pair):
-    """det(2A x + 2B y) expanded as a binary quartic.
+# Laplace expansion of a 4x4 determinant along rows {0, 1}: the columns
+# of each 2x2 minor of rows 0, 1, the complementary columns of its partner
+# minor of rows 2, 3, and the sign of the term.
+_LAPLACE = (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
+            ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1))
 
-    Permutation expansion of the determinant of a matrix of linear forms;
-    each product of four linear forms is convolved exactly, so the result
-    is valid over any commutative coefficient ring.
+
+def resolvent_coeffs(coords):
+    """The coefficients (a, b, c, d, e) of f(x, y) = det(2A x + 2B y),
+    x^4 first, from the 20 coordinates.
+
+    Laplace expansion along rows {0, 1} | {2, 3}: twelve 2x2 minors, each
+    a binary quadratic in (x, y), then six signed products of
+    complementary minors.  Only +, - and * are used, so the coordinates
+    may be ints, Fractions, symbolic entries or numpy columns (int64 or
+    object, one row per pair), and the coefficients come back alike.
     """
-    MA = pair.gram2(0)
-    MB = pair.gram2(1)
-    zero = MA[0][0] * 0
-    out = [zero] * 5
-    for perm, sign in _PERMS[4]:
-        # product of the four linear forms (MA[i][perm[i]] x + MB[i][perm[i]] y)
-        prod = [MA[0][perm[0]], MB[0][perm[0]]]
-        for i in range(1, 4):
-            na, nb = MA[i][perm[i]], MB[i][perm[i]]
-            new = [zero] * (len(prod) + 1)
-            for k, c in enumerate(prod):
-                new[k] = new[k] + c * na
-                new[k + 1] = new[k + 1] + c * nb
-            prod = new
-        for k in range(5):
-            out[k] = out[k] + (prod[k] if sign > 0 else -prod[k])
-    return BinaryQuartic(*out)
+    A, B = _gram_rows(coords[:10]), _gram_rows(coords[10:])
+
+    def minor(r, j, k):
+        # (A_rj x + B_rj y)(A_sk x + B_sk y) - (A_rk x + B_rk y)(A_sj x + B_sj y)
+        s = r + 1
+        return (A[r][j] * A[s][k] - A[r][k] * A[s][j],
+                A[r][j] * B[s][k] + B[r][j] * A[s][k]
+                - A[r][k] * B[s][j] - B[r][k] * A[s][j],
+                B[r][j] * B[s][k] - B[r][k] * B[s][j])
+
+    out = None
+    for top, bottom, sign in _LAPLACE:
+        p0, p1, p2 = minor(0, *top)
+        q0, q1, q2 = minor(2, *bottom)
+        term = (p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0,
+                p1 * q2 + p2 * q1, p2 * q2)
+        if out is None:
+            out = term
+        elif sign > 0:
+            out = tuple(o + t for o, t in zip(out, term))
+        else:
+            out = tuple(o - t for o, t in zip(out, term))
+    return out
+
+
+def resolvent_quartic(pair):
+    """det(2A x + 2B y) expanded as a binary quartic."""
+    return BinaryQuartic(*resolvent_coeffs(pair.coords))
+
+
+# Largest coordinate bound under which resolvent_coeffs on int64 columns
+# is exact: Gram entries are at most E = 2 bound, a minor's coefficients
+# at most 4 E^2, and every partial sum of the six products of minors at
+# most 6 * 3 * (4 E^2)^2 = 288 E^4 in absolute value, below 2^63.
+INT64_COORD_BOUND = iroot((2 ** 63 - 1) // 288, 4) // 2
+
+
+def coord_columns(rows, bound=None):
+    """The 20 coordinate columns of `rows` (an (n, 20) integer array or a
+    list of 20-lists): int64 when every entry is known to be at most
+    `bound` <= INT64_COORD_BOUND in absolute value, dtype object (the
+    entries as given, exact) otherwise."""
+    exact = bound is not None and bound <= INT64_COORD_BOUND
+    return list(np.array(rows, dtype=np.int64 if exact else object).reshape(-1, 20).T)
+
+
+def scaled_discs(coeffs):
+    """4I^3 - J^2 of each row of resolvent coefficient columns, as an
+    object array of exact numbers."""
+    I, J = quartic_invariants(BinaryQuartic(*(np.asarray(c).astype(object)
+                                              for c in coeffs)))
+    return 4 * I ** 3 - J ** 2
 
 
 @dataclass(frozen=True)
@@ -360,6 +407,14 @@ def reducibility_case(pair):
         if all(pair.named(n) == 0 for n in names):
             return idx
     return None
+
+
+def cusp_mask(coords):
+    """Which rows of the 20 coordinate columns satisfy one of the
+    conditions of reducibility_case."""
+    return np.logical_or.reduce([
+        np.logical_and.reduce([coords[COORD_NAMES.index(n)] == 0 for n in names])
+        for names in _CASE_CONDITIONS])
 
 
 def _as_quartic(obj):

@@ -8,7 +8,9 @@ operations require exact integers or rationals.
 """
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
+
+import numpy as np
 
 from .arith import QplError, resultant
 
@@ -174,6 +176,45 @@ def rational_linear_factor(f):
                 if gcd(r0, s) == 1 and f(r, s) == 0:
                     return (r, s)
     return None
+
+
+# Odd primes of the local root sieve, in the order they are tried, and
+# their product, which is below 2^63.  p = 2 certifies little: 2A x + 2B y
+# is alternating mod 2, so a resolvent is the square of a Pfaffian mod 2
+# and is root-free there only when that Pfaffian is x^2 + xy + y^2.
+ROOT_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SIEVE_MODULUS = prod(ROOT_SIEVE_PRIMES)
+
+# x^(4-i) mod p as a (5, p) table: coefficients (mod p) times it give
+# f(x, 1) for x = 0..p-1, below 5 p^2 before the reduction.
+_SIEVE_POWERS = {p: np.array([[pow(x, k, p) for x in range(p)] for k in range(4, -1, -1)],
+                             dtype=np.int64)
+                 for p in ROOT_SIEVE_PRIMES}
+
+
+def root_free_mask(coeffs):
+    """Which rows of integer coefficient columns (a, b, c, d, e) certainly
+    give a binary quartic with no root in P^1(Q).
+
+    A row is certified when, for some p in ROOT_SIEVE_PRIMES, f mod p has
+    no root in P^1(F_p); f = 0 mod p counts as having the root [1:0].  A
+    rational root [r:s] with gcd(r, s) = 1 reduces to a root of f mod p
+    whenever f is nonzero mod p, so a certified row has none.  A row left
+    uncertified may have one or not.  The coefficients are reduced mod the
+    product of the primes first, so the work is in int64 whatever the
+    dtype of the columns.
+    """
+    F = (np.stack(coeffs) % _SIEVE_MODULUS).astype(np.int64)
+    certified = np.zeros(F.shape[1], dtype=bool)
+    todo = np.arange(F.shape[1])
+    for p in ROOT_SIEVE_PRIMES:
+        Fp = F[:, todo] % p
+        free = (Fp[0] != 0) & (Fp.T @ _SIEVE_POWERS[p] % p).all(axis=1)
+        certified[todo[free]] = True
+        todo = todo[~free]
+        if not len(todo):
+            break
+    return certified
 
 
 # ---------------------------------------------------------------------------

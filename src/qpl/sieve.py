@@ -16,8 +16,8 @@ import random
 
 from .arith import (PreconditionError, QplError, ext_gcd, is_prime,
                     kernel_mod_p, complete_unimodular, mat_identity)
-from .forms import (COORD_NAMES, GroupElement, PairOfQuadrics, act,
-                    invariants, resolvent_quartic)
+from .forms import (COORD_NAMES, GroupElement, PairOfQuadrics, act, coord_columns,
+                    invariants, resolvent_coeffs, resolvent_quartic, scaled_discs)
 from .quartic import repeated_factor_mod_p
 
 
@@ -46,21 +46,25 @@ def in_Wp1(pair, p):
 
     Derivatives are exact finite differences: disc is a polynomial with
     integer coefficients, so (disc(v + p e_t) - disc(v)) / p is an
-    integer congruent to the t-th partial mod p.
+    integer congruent to the t-th partial mod p.  The discriminant at v
+    and at its 20 bumps v + p e_t come from one 21-row pass of
+    resolvent_coeffs.
 
     Returns (bool, witness); when the answer is False the witness names
     what failed: {"reason": "valuation"} or {"reason": "derivative",
     "direction": coordinate_name}.
     """
     _check_prime(p)
-    d0 = _scaled_disc(pair)
+    coords = pair.coords
+    rows = [list(coords)]
+    for t in range(20):
+        rows.append(list(coords))
+        rows[-1][t] += p
+    bound = max(map(abs, coords)) + p if pair.is_integral() else None
+    d0, *bumped = scaled_discs(resolvent_coeffs(coord_columns(rows, bound)))
     if d0 != 0 and d0 % (p * p) != 0:
         return False, {"reason": "valuation", "direction": None}
-    coords = list(pair.coords)
-    for t, name in enumerate(COORD_NAMES):
-        bumped = list(coords)
-        bumped[t] += p
-        d1 = _scaled_disc(PairOfQuadrics(bumped))
+    for name, d1 in zip(COORD_NAMES, bumped):
         step = d1 - d0
         if step % p:
             raise QplError("finite difference not divisible by p")  # impossible
@@ -234,28 +238,40 @@ class SievePrimeData:
                   "gamma_verified"]
 
 
+# Samples sieve_scan draws and evaluates as one block of columns.
+SIEVE_BLOCK = 1024
+
+
 def sieve_scan(primes, samples, coeff_bound, seed):
     """Monte-Carlo stratum counts over random integral pairs, plus a
-    descent verification for every W_p^(2) hit."""
+    descent verification for every W_p^(2) hit.
+
+    The samples for p are drawn from random.Random("seed:p"), 20
+    coordinates at a time; their scaled discriminants come from one
+    resolvent_coeffs pass per block of SIEVE_BLOCK samples."""
     rows = []
     for p in primes:
+        _check_prime(p)
         rng = random.Random("%d:%d" % (seed, p))
         n_wp = n_wp1 = n_wp2 = n_ok = 0
-        for _ in range(samples):
-            pair = PairOfQuadrics([rng.randint(-coeff_bound, coeff_bound)
-                                   for _ in range(20)])
-            if not in_Wp(pair, p) or _scaled_disc(pair) == 0:
-                continue
-            n_wp += 1
-            deep, _ = in_Wp1(pair, p)
-            if deep:
-                n_wp1 += 1
-            else:
-                n_wp2 += 1
-                try:
-                    verify_gamma_descent(pair, p)
-                    n_ok += 1
-                except QplError:
-                    pass
+        for start in range(0, samples, SIEVE_BLOCK):
+            block = [[rng.randint(-coeff_bound, coeff_bound) for _ in range(20)]
+                     for _ in range(min(SIEVE_BLOCK, samples - start))]
+            sds = scaled_discs(resolvent_coeffs(coord_columns(block, coeff_bound)))
+            for draw, sd in zip(block, sds):
+                if sd == 0 or sd % (p * p):
+                    continue
+                pair = PairOfQuadrics(draw)
+                n_wp += 1
+                deep, _ = in_Wp1(pair, p)
+                if deep:
+                    n_wp1 += 1
+                else:
+                    n_wp2 += 1
+                    try:
+                        verify_gamma_descent(pair, p)
+                        n_ok += 1
+                    except QplError:
+                        pass
         rows.append(SievePrimeData(p, samples, n_wp, n_wp1, n_wp2, n_ok))
     return rows

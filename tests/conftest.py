@@ -4,8 +4,8 @@ from math import isqrt
 import numpy as np
 
 from qpl import GroupElement, PairOfQuadrics
-from qpl.arith import (DegenerateInput, QplError, det_generic, iroot, is_prime,
-                       mat_identity, mat_mul)
+from qpl.arith import (_PERMS, DegenerateInput, QplError, det_generic, iroot,
+                       is_prime, mat_identity, mat_mul)
 from qpl.counting import InvariantPairCount
 
 
@@ -19,6 +19,44 @@ def random_nondegenerate_pair(rng, bound=5):
         pair = random_pair(rng, bound)
         if invariants(pair).scaled_disc != 0:
             return pair
+
+
+def resolvent_oracle(coords):
+    """det(2A x + 2B y) by permutation expansion of the determinant of a
+    matrix of linear forms, each product of four linear forms convolved
+    exactly: the slow reference for qpl.forms.resolvent_coeffs, valid over
+    any commutative coefficient ring.  Returns (a, b, c, d, e)."""
+    pair = PairOfQuadrics(coords)
+    MA = pair.gram2(0)
+    MB = pair.gram2(1)
+    zero = MA[0][0] * 0
+    out = [zero] * 5
+    for perm, sign in _PERMS[4]:
+        # product of the four linear forms (MA[i][perm[i]] x + MB[i][perm[i]] y)
+        prod = [MA[0][perm[0]], MB[0][perm[0]]]
+        for i in range(1, 4):
+            na, nb = MA[i][perm[i]], MB[i][perm[i]]
+            new = [zero] * (len(prod) + 1)
+            for k, c in enumerate(prod):
+                new[k] = new[k] + c * na
+                new[k + 1] = new[k + 1] + c * nb
+            prod = new
+        for k in range(5):
+            out[k] = out[k] + (prod[k] if sign > 0 else -prod[k])
+    return tuple(out)
+
+
+def is_prime_oracle(n):
+    """Trial division up to sqrt(n): the slow reference for
+    qpl.arith.is_prime."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
 
 
 def random_sl2pm(rng, bound=5):

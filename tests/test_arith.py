@@ -1,15 +1,18 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from qpl.arith import (PreconditionError, complete_unimodular, det_bareiss,
-                       det_generic, ext_gcd, factorize, iroot, is_prime,
-                       kernel_mod_p, mat_identity, mat_inv_exact, mat_mul,
-                       resultant, valuation)
+from qpl.arith import (MR_LIMIT, PreconditionError, QplError, complete_unimodular,
+                       det_bareiss, det_generic, ext_gcd, factorize, iroot,
+                       is_prime, kernel_mod_p, mat_identity, mat_inv_exact,
+                       mat_mul, resultant, valuation)
+
+from conftest import is_prime_oracle
 
 
 def test_det_against_sympy():
@@ -70,6 +73,43 @@ def test_valuation():
 
 def test_is_prime_small():
     assert [p for p in range(25) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10 ** 5 + 1) if is_prime(n)] == \
+        [n for n in range(-3, 10 ** 5 + 1) if is_prime_oracle(n)]
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601, 9746347772161)
+
+# the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and 12
+# prime bases, each with its factorization
+STRONG_PSEUDOPRIMES = (
+    (2047, (23, 89)), (1373653, (829, 1657)), (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)), (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)))
+
+
+def test_is_prime_pseudoprimes():
+    for n in CARMICHAEL:
+        assert not is_prime(n) and not is_prime_oracle(n)
+    for n, factors in STRONG_PSEUDOPRIMES:
+        assert math.prod(factors) == n and all(map(sympy.isprime, factors))
+        assert not is_prime(n)
+        assert all(map(is_prime, factors))
+
+
+def test_is_prime_large_is_fast_and_bounded():
+    t0 = time.perf_counter()
+    assert is_prime(10 ** 14 + 31)
+    assert time.perf_counter() - t0 < 0.01
+    assert is_prime(MR_LIMIT - 2) == sympy.isprime(MR_LIMIT - 2)
+    with pytest.raises(QplError, match=str(MR_LIMIT)):
+        is_prime(MR_LIMIT)
 
 
 def test_mat_inv_exact_roundtrip():

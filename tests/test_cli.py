@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from qpl.arith import MR_LIMIT
 from qpl.cli import main
 
 DIAG = "1 0 0 0 1 0 0 1 0 1 1 0 0 0 2 0 0 3 0 4"
@@ -134,13 +135,41 @@ def test_scan_box_checkpoints(tmp_path, capsys):
     assert manifest["checkpoints"] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("chunk_size", ["0", "-5"])
+@pytest.mark.parametrize("chunk_size", ["0", "-5", str(10 ** 9)])
 def test_scan_box_bad_chunk_size_exit_1(tmp_path, capsys, chunk_size):
     code = main(["scan-box", "--bound", "3", "--samples", "10", "--chunk-size",
                  chunk_size, "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# sha256 of stdout, recorded before the scans were batched into columns
+PINNED_STDOUT = [
+    pytest.param(["scan-box", "--bound", "5", "--samples", "3000", "--seed", "7"],
+                 "a7ca45603434bcae0741b946094e69fdbbe4c93b5c631f0d7760c53d9096cea8",
+                 id="scan-bound-5"),
+    pytest.param(["scan-box", "--bound", "1", "--samples", "1000", "--seed", "11",
+                  "--chunk-size", "256", "--predicates",
+                  "disc_nonzero,strongly_irreducible,rational_root,cusp_condition,"
+                  "positive_disc,negative_disc"],
+                 "6c65c1fdf5cd393f835a977e4deb8e6167e54c22ad4589bb7e142c7206daff20",
+                 id="scan-six-predicates"),
+    pytest.param(["scan-box", "--bound", str(10 ** 12), "--samples", "300", "--seed", "5",
+                  "--predicates", "disc_nonzero,positive_disc,negative_disc,cusp_condition"],
+                 "10687bc78fa967d57535c166fa9792c7a199467808867be14574b4154012e265",
+                 id="scan-bound-1e12"),
+    pytest.param(["sieve-scan", "--primes", "5,7", "--samples", "500", "--seed", "3"],
+                 "e92916336f74555c0afeeb4d796b58c81ab1384c7bccf68d83b478d89fc76172",
+                 id="sieve-scan"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT)
+def test_pinned_stdout_digest(tmp_path, capsys, argv, digest):
+    code, out = run(capsys, argv + ["--out-dir", str(tmp_path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_davenport_shear(tmp_path, capsys):
@@ -267,6 +296,15 @@ def test_qp_solve(tmp_path, capsys):
         assert code == 0
         assert obj["verdict"] == "soluble"
         assert obj["witness"] == [1, 2, 2, 1]
+
+
+def test_qp_solve_prime_over_primality_limit_exit_1(tmp_path, capsys):
+    code = main(["qp-solve", DIAG, "--prime", str(MR_LIMIT + 2),
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(MR_LIMIT) in err
 
 
 def test_selmer_bound(tmp_path, capsys):

@@ -10,14 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from qpl.arith import QplError
 import qpl.counting
-from qpl.counting import (HAAR_EXPONENTS, PREDICATES, coordinate_weight,
+import qpl.forms
+from qpl.counting import (HAAR_EXPONENTS, MAX_CHUNK_ROWS, PREDICATES, coordinate_weight,
                           count_invariant_pairs, davenport_check,
                           enumerate_curves, family_density, scan_box,
                           shear_region, verify_sibound_products,
                           verify_weight_sums, weight_table, ZETA10)
 from qpl.forms import (COORD_NAMES, PairOfQuadrics, invariants,
                        is_strongly_irreducible, reducibility_case,
-                       resolvent_quartic)
+                       resolvent_coeffs, resolvent_quartic)
 from qpl.quartic import rational_linear_factor
 
 from conftest import count_invariant_pairs_naive, enumerate_curves_oracle, is_minimal
@@ -144,15 +145,36 @@ def test_scan_matches_row_by_row_recount(bound, samples, seed, chunk_size, names
 
 @pytest.mark.parametrize("names", [("disc_nonzero", "strongly_irreducible"), WIDE])
 def test_scan_builds_one_resolvent_per_row(monkeypatch, names):
-    calls = []
+    """One resolvent_coeffs pass per chunk covers every row; no per-row
+    resolvent_quartic and no PairOfQuadrics are built."""
+    passes, singles, pairs = [], [], []
 
-    def counted(pair):
-        calls.append(pair)
+    def counted(coords):
+        passes.append(len(coords[0]))
+        return resolvent_coeffs(coords)
+
+    def single(pair):
+        singles.append(pair)
         return resolvent_quartic(pair)
 
-    monkeypatch.setattr(qpl.counting, "resolvent_quartic", counted)
+    def init(self, coords):
+        pairs.append(coords)
+        build(self, coords)
+
+    build = PairOfQuadrics.__init__
+    monkeypatch.setattr(qpl.counting, "resolvent_coeffs", counted)
+    monkeypatch.setattr(qpl.forms, "resolvent_quartic", single)
+    monkeypatch.setattr(PairOfQuadrics, "__init__", init)
     rep = scan_box(3, 150, seed=4, predicate_names=names, chunk_size=64)
-    assert rep.samples == len(calls) == 150
+    assert rep.samples == sum(passes) == 150
+    assert passes == [64, 64, 22]
+    assert singles == [] and pairs == []
+
+
+def test_scan_rejects_chunk_over_limit():
+    with pytest.raises(QplError, match=str(MAX_CHUNK_ROWS)):
+        scan_box(3, 10, seed=0, chunk_size=MAX_CHUNK_ROWS + 1)
+    assert scan_box(1, 3, seed=0, chunk_size=MAX_CHUNK_ROWS).samples == 3
 
 
 def test_scan_counts_consistent():

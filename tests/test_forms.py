@@ -4,16 +4,20 @@ identity, invariant scaling, and the irreducibility predicates."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpl import (GroupElement, PairOfQuadrics, act, invariants,
                  is_strongly_irreducible, twist_identity_check)
 from qpl.arith import QplError
-from qpl.forms import (COORD_NAMES, reducibility_case, resolvent_quartic)
+from qpl.forms import (COORD_NAMES, INT64_COORD_BOUND, coord_columns, cusp_mask,
+                       reducibility_case, resolvent_coeffs, resolvent_quartic,
+                       scaled_discs)
 from qpl.quartic import BinaryQuartic, compose_row
 
 from conftest import (random_group_element, random_nondegenerate_pair,
-                      random_pair, random_unimodular4)
+                      random_pair, random_unimodular4, resolvent_oracle)
 
 
 # -- serialization ----------------------------------------------------------
@@ -106,6 +110,59 @@ def test_resolvent_numeric_oracle():
             want = np.linalg.det(MA * x + MB * y)
             got = float(f(x, y))
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
+# Coordinate bounds on both sides of the int64 switch and far beyond it.
+RESOLVENT_BOUNDS = (5, INT64_COORD_BOUND, INT64_COORD_BOUND + 1, 10 ** 12, 10 ** 40)
+
+
+@st.composite
+def coordinate_rows(draw):
+    """(bound, rows): up to 8 rows of 20 coordinates in [-bound, bound],
+    with the extremes +-bound and 0 drawn often."""
+    bound = draw(st.sampled_from(RESOLVENT_BOUNDS))
+    coord = st.one_of(st.sampled_from((-bound, bound, 0)), st.integers(-bound, bound))
+    rows = draw(st.lists(st.lists(coord, min_size=20, max_size=20),
+                         min_size=1, max_size=8))
+    return bound, rows
+
+
+def _rows_of(cols):
+    return [tuple(int(c[i]) for c in cols) for i in range(len(cols[0]))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinate_rows())
+def test_resolvent_coeffs_matches_oracle(case):
+    bound, rows = case
+    want = [resolvent_oracle(row) for row in rows]
+    assert [resolvent_coeffs(row) for row in rows] == want
+    cols = coord_columns(rows, bound)
+    assert cols[0].dtype == (np.int64 if bound <= INT64_COORD_BOUND else object)
+    assert _rows_of(resolvent_coeffs(cols)) == want
+    obj = coord_columns(rows)
+    assert obj[0].dtype == object
+    coeffs = resolvent_coeffs(obj)
+    assert _rows_of(coeffs) == want
+    assert list(scaled_discs(coeffs)) == \
+        [invariants(PairOfQuadrics(row)).scaled_disc for row in rows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=60),
+                min_size=20, max_size=20))
+def test_resolvent_coeffs_fractions(coords):
+    want = resolvent_oracle(coords)
+    assert resolvent_coeffs(coords) == want
+    assert tuple(c[0] for c in resolvent_coeffs(coord_columns([coords]))) == want
+
+
+def test_cusp_mask_matches_reducibility_case():
+    rng = random.Random(3)
+    rows = [[rng.choice((0, 0, 0, 1, -2)) for _ in range(20)] for _ in range(400)]
+    mask = cusp_mask(coord_columns(rows, 2))
+    assert list(mask) == [reducibility_case(PairOfQuadrics(r)) is not None for r in rows]
+    assert 0 < mask.sum() < len(rows)
 
 
 # -- group laws -------------------------------------------------------------

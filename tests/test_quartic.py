@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from qpl.arith import DegenerateInput
+from qpl.forms import coord_columns, resolvent_coeffs
 from qpl.quartic import (BinaryQuartic, compose_row, disc_is_zero,
                          disc_via_resultant, fp_poly_gcd, quartic_invariants,
                          rational_linear_factor, real_projective_root_count,
-                         repeated_factor_mod_p, roots_mod_p)
+                         repeated_factor_mod_p, root_free_mask, roots_mod_p)
 from qpl.realgeom import real_class
 
 from conftest import disc
@@ -200,3 +203,39 @@ def test_fp_poly_gcd():
     b = sympy.Poly((X - 1) * (X - 3), X).all_coeffs()
     g = fp_poly_gcd([int(c) % 7 for c in a], [int(c) % 7 for c in b], 7)
     assert [int(c) % 7 for c in g] == [1, 6]   # x - 1 = x + 6
+
+
+# -- the local root sieve ---------------------------------------------------
+
+_R = st.integers(-10 ** 6, 10 ** 6)
+_ROOT = st.one_of(st.tuples(st.just(0), _R), st.tuples(_R, st.just(0)), st.tuples(_R, _R))
+
+
+def _with_root(r, s, g):
+    """(s x - r y) g(x, y) for the binary cubic g = (g0, g1, g2, g3)."""
+    g0, g1, g2, g3 = g
+    return (s * g0, s * g1 - r * g0, s * g2 - r * g1, s * g3 - r * g2, -r * g3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_ROOT, st.lists(_R, min_size=4, max_size=4)),
+                min_size=1, max_size=12))
+@example([((0, 1), [1, 0, 0, 1]), ((1, 0), [1, 0, 0, 1]), ((0, 0), [1, 2, 3, 4])])
+def test_root_free_mask_never_certifies_a_root(cases):
+    rows = [_with_root(r, s, g) for (r, s), g in cases]
+    for dtype in (np.int64, object):
+        cols = [np.array(col, dtype=dtype) for col in zip(*rows)]
+        assert not root_free_mask(cols).any()
+
+
+def test_root_free_mask_certifies_most_resolvents():
+    rng = random.Random(8)
+    rows = [[rng.randint(-5, 5) for _ in range(20)] for _ in range(256)]
+    coeffs = resolvent_coeffs(coord_columns(rows, 5))
+    mask = root_free_mask(coeffs)
+    for i in np.flatnonzero(mask):
+        f = BinaryQuartic(*(int(c[i]) for c in coeffs))
+        assert rational_linear_factor(f) is None
+    assert mask.sum() > 240
+    # x^4 + y^4 has no root mod 3
+    assert root_free_mask([np.array([1]), *[np.array([0])] * 3, np.array([1])]).all()
