@@ -98,25 +98,24 @@ class PairOfQuadrics:
         """The integral matrix 2A (which=0) or 2B (which=1)."""
         return _gram_rows(self.a_coords() if which == 0 else self.b_coords())
 
-    def upper(self, which):
-        """Upper-triangular coefficient matrix U with Q(x) = x^T U x."""
-        cs = self.a_coords() if which == 0 else self.b_coords()
-        U = [[0] * 4 for _ in range(4)]
-        for (i, j), c in zip(_IJ, cs):
-            U[i][j] = c
-        return U
-
     def q_values(self, x):
-        """(Q_A(x), Q_B(x)) evaluated exactly in the coordinate domain."""
-        out = []
-        for which in (0, 1):
-            U = self.upper(which)
-            acc = 0
-            for i in range(4):
-                for j in range(i, 4):
-                    acc = acc + U[i][j] * x[i] * x[j]
-            out.append(acc)
-        return tuple(out)
+        """(Q_A(x), Q_B(x)) evaluated exactly in the coordinate domain.
+
+        Only +, - and * are used, so the entries of x may be scalars or
+        numpy columns (one row per point), and the values come back alike.
+        """
+        xx = [x[i] * x[j] for i, j in _IJ]
+        return tuple(sum(c * m for c, m in zip(cs, xx))
+                     for cs in (self.a_coords(), self.b_coords()))
+
+    def jacobian_minors(self, x):
+        """The six 2x2 minors of the Jacobian with rows (2A)x and (2B)x,
+        columns (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3).  Ring-generic
+        like q_values: x may hold scalars or numpy columns."""
+        ja, jb = ([sum(M[i][j] * x[j] for j in range(4)) for i in range(4)]
+                  for M in (self.gram2(0), self.gram2(1)))
+        return tuple(ja[k] * jb[l] - ja[l] * jb[k]
+                     for k in range(4) for l in range(k + 1, 4))
 
     def scale(self, lam):
         return PairOfQuadrics([lam * c for c in self.coords])

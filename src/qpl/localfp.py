@@ -2,29 +2,47 @@
 F_p, Q_p-solubility by breadth-first Hensel refinement, the stabilizer of
 a pair inside the group over F_p (a resolvent filter over GL_2(F_p), then
 a mod-p kernel of linear equations for the GL_4 part), and 4-torsion
-counts of the associated elliptic curve.  Pairs are reduced mod p in
-Python before any numpy array is built, so coordinates may be of any size.
+counts of the associated elliptic curve by 2-descent.
+
+The quadric values and Jacobian minors come from one ring-generic
+evaluator, PairOfQuadrics.q_values / jacobian_minors: the point scan runs
+it on the int64 columns of P^3(F_p), the Hensel lift on Python ints.
+Pairs are reduced mod p in Python before any numpy array is built, so
+coordinates may be of any size; no array over F_p exceeds MAX_FP_ROWS
+rows, and larger work raises QplError before anything is allocated.
 
 The headline identity tested downstream: for a nondegenerate pair, the
 stabilizer order equals #E(F_p)[4] for E: y^2 = x^3 - (I/3)x - (J/27).
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .arith import (DegenerateInput, QplError, det_generic, is_prime,
                     kernel_mod_p, valuation)
-from .quartic import compose_row
+from .quartic import BinaryQuartic, compose_row, roots_mod_p
 from .forms import invariants, resolvent_quartic
 
-_MINOR_PAIRS = list(combinations(range(4), 2))
+# Most rows of any array built over F_p: the p^3 + p^2 + p + 1 points of
+# P^3(F_p) (p <= 61), the p^4 elements of the GL_2(F_p) filter of the
+# stabilizer (p <= 19) and the p^k kernel combinations of one g2 (k <= 4).
+# Checked before the array is built; at the limit a process peaks near
+# 100 MB, and every prime the tests and perfbench use stays below it.
+MAX_FP_ROWS = 2 ** 18
+
+
+def _check_fp_rows(n, what):
+    if n > MAX_FP_ROWS:
+        raise QplError("%s needs %d rows over F_p, above the work limit "
+                       "MAX_FP_ROWS = %d" % (what, n, MAX_FP_ROWS))
 
 
 def proj_point_array(p):
     """All p^3 + p^2 + p + 1 canonical representatives of P^3(F_p):
     first nonzero coordinate equal to 1, as an (N, 4) int64 array."""
+    _check_fp_rows(p ** 3 + p ** 2 + p + 1, "the point scan of P^3(F_%d)" % p)
     blocks = []
     for lead in range(4):
         tail = 3 - lead
@@ -39,15 +57,13 @@ def proj_point_array(p):
     return np.vstack(blocks)
 
 
-def _q_vals(U, X, p):
-    return ((X @ U) * X).sum(axis=1) % p
-
-
 def fp_points_on_intersection(pair, p):
     """Points of {Q_A = Q_B = 0} in P^3(F_p) with smoothness flags.
 
     A point is smooth when the 2x4 Jacobian (rows (2A)x and (2B)x) has
-    rank 2, i.e. some 2x2 minor is nonzero mod p.
+    rank 2, i.e. some 2x2 minor is nonzero mod p.  Both are evaluated on
+    the int64 columns of P^3(F_p) after reducing the pair mod p; a minor
+    is below 50 p^4, far inside int64 for any p under MAX_FP_ROWS.
     """
     if not is_prime(p) or p == 2:
         raise QplError("need an odd prime, got %r" % (p,))
@@ -55,17 +71,10 @@ def fp_points_on_intersection(pair, p):
         raise QplError("F_p point scan needs integral coordinates")
     pair = pair.reduce_mod(p)
     X = proj_point_array(p)
-    UA = np.array(pair.upper(0), dtype=np.int64)
-    UB = np.array(pair.upper(1), dtype=np.int64)
-    on = (_q_vals(UA, X, p) == 0) & (_q_vals(UB, X, p) == 0)
+    qa, qb = pair.q_values(X.T)
+    on = (qa % p == 0) & (qb % p == 0)
     Xon = X[on]
-    A2 = np.array(pair.gram2(0), dtype=np.int64)
-    B2 = np.array(pair.gram2(1), dtype=np.int64)
-    JA = Xon @ A2 % p
-    JB = Xon @ B2 % p
-    smooth = np.zeros(len(Xon), dtype=bool)
-    for k, l in _MINOR_PAIRS:
-        smooth |= (JA[:, k] * JB[:, l] - JA[:, l] * JB[:, k]) % p != 0
+    smooth = np.logical_or.reduce([m % p != 0 for m in pair.jacobian_minors(Xon.T)])
     return [(tuple(int(v) for v in x), bool(s)) for x, s in zip(Xon, smooth)]
 
 
@@ -99,34 +108,15 @@ def qp_soluble(pair, p, depth=None):
         raise DegenerateInput("zero discriminant")
     if depth is None:
         depth = valuation(sd, p) + 2
-    A2 = pair.gram2(0)
-    B2 = pair.gram2(1)
-    UA = pair.upper(0)
-    UB = pair.upper(1)
-
-    def qvals(x):
-        qa = sum(UA[i][j] * x[i] * x[j] for i in range(4) for j in range(i, 4))
-        qb = sum(UB[i][j] * x[i] * x[j] for i in range(4) for j in range(i, 4))
-        return qa, qb
-
     def min_minor_valuation(x):
-        ja = [sum(A2[i][j] * x[j] for j in range(4)) for i in range(4)]
-        jb = [sum(B2[i][j] * x[j] for j in range(4)) for i in range(4)]
-        best = None
-        for k, l in _MINOR_PAIRS:
-            m = ja[k] * jb[l] - ja[l] * jb[k]
-            if m != 0:
-                v = valuation(m, p)
-                if best is None or v < best:
-                    best = v
-                if best == 0:
-                    break
-        return best  # None = all minors vanish exactly
+        # None = all minors vanish exactly
+        return min((valuation(m, p) for m in pair.jacobian_minors(x) if m != 0),
+                   default=None)
 
     queue = []
     pk = p
     for x, _ in fp_points_on_intersection(pair, p):
-        e = min_minor_valuation(list(x))
+        e = min_minor_valuation(x)
         if e is not None and 2 * e < 1:
             return SolubilityVerdict("soluble", x, 1, 1)
         unit = next(i for i, v in enumerate(x) if v == 1)
@@ -141,7 +131,7 @@ def qp_soluble(pair, p, depth=None):
                 y = list(x)
                 for i, ti in zip(free, t):
                     y[i] = x[i] + pk * ti
-                qa, qb = qvals(y)
+                qa, qb = pair.q_values(y)
                 if qa % pk1 or qb % pk1:
                     continue
                 e = min_minor_valuation(y)
@@ -177,10 +167,11 @@ def stabilizer_order_fp(pair, p):
     pair count is divided by the (p-1) central scalings.
 
     Every intermediate stays below about 10^3 p^5, inside int64 for every
-    p whose p^4-row arrays can be allocated at all.
+    p with p^4 <= MAX_FP_ROWS, which is checked first.
     """
     if p < 3 or not is_prime(p):
         raise QplError("need a prime p >= 3")
+    _check_fp_rows(p ** 4, "the GL_2(F_%d) filter" % p)
     if not pair.is_integral():
         raise QplError("stabilizer count needs integral coordinates")
     inv = invariants(pair)
@@ -219,6 +210,7 @@ def _count_g4_solutions(g2, A2, B2, p):
     k = len(basis)
     if k == 0:
         return 0
+    _check_fp_rows(p ** k, "the g4 kernel of dimension %d" % k)
     coeffs = np.indices((p,) * k).reshape(k, -1).T
     X = (coeffs @ basis[:, :16] % p).reshape(-1, 4, 4)
     Xt = X.transpose(0, 2, 1)
@@ -253,56 +245,32 @@ def curve_from_invariants(I, J, p):
     return FpCurve(p, a, b)
 
 
-def curve_points(E):
-    """All points, with None as the point at infinity."""
-    pts = [None]
-    sqrts = {}
-    for y in range(E.p):
-        sqrts.setdefault(y * y % E.p, []).append(y)
-    for x in range(E.p):
-        rhs = (x * x * x + E.a * x + E.b) % E.p
-        for y in sqrts.get(rhs, []):
-            pts.append((x, y))
-    return pts
-
-def ec_add(P, Q, E):
-    p = E.p
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return None
-    if P == Q:
-        lam = (3 * x1 * x1 + E.a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
-
-
-def ec_mul(k, P, E):
-    R = None
-    Q = P
-    while k:
-        if k & 1:
-            R = ec_add(R, Q, E)
-        Q = ec_add(Q, Q, E)
-        k >>= 1
-    return R
+def _is_square_mod(v, p):
+    """Euler's criterion for v a unit mod the odd prime p."""
+    return pow(v, (p - 1) // 2, p) == 1
 
 
 def curve_four_torsion(E):
-    """#E(F_p)[4], by enumerating all points and doubling twice."""
-    n = 0
-    for P in curve_points(E):
-        T2 = ec_add(P, P, E)
-        if ec_add(T2, T2, E) is None:
-            n += 1
-    return n
+    """#E(F_p)[4] by 2-descent (Silverman, The Arithmetic of Elliptic
+    Curves, ch. X): doubling maps E(F_p)[4] onto the 2-torsion points that
+    are doubles in E(F_p), with kernel E[2](F_p), so the count is
+    #E[2](F_p) times the number of those doubles.
+
+    With three roots e of x^3 + ax + b in F_p, (e, 0) is a double iff
+    e - e' is a square for both other roots e'.  With one root, it is a
+    double iff 3e^2 + a = N(e - e') is a square, as an element e - e' of
+    F_{p^2} is a square iff its norm is.  The roots are simple, so every
+    tested value is a unit.
+    """
+    p = E.p
+    roots = [r for (r, s), _ in roots_mod_p(BinaryQuartic(0, 1, 0, E.a, E.b), p)
+             if s]
+    if len(roots) == 3:
+        doubles = sum(all(_is_square_mod(e - f, p) for f in roots if f != e)
+                      for e in roots)
+    else:
+        doubles = sum(_is_square_mod(3 * e * e + E.a, p) for e in roots)
+    return (1 + len(roots)) * (1 + doubles)
 
 
 _FOUR_TORSION_BY_ORDER = {1: 1, 2: 2, 3: 1, 4: 4, 5: 1, 6: 2, 7: 1}

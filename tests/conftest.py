@@ -213,3 +213,58 @@ def enumerate_curves_oracle(X, family=None):
     return sum(1 for A in range(-amax, amax + 1) for B in range(-bmax, bmax + 1)
                if 4 * A ** 3 + 27 * B ** 2 != 0
                and (A % m, B % m) in residues and is_minimal(A, B))
+
+
+def curve_points(E):
+    """All points of E(F_p), with None as the point at infinity."""
+    pts = [None]
+    sqrts = {}
+    for y in range(E.p):
+        sqrts.setdefault(y * y % E.p, []).append(y)
+    for x in range(E.p):
+        rhs = (x * x * x + E.a * x + E.b) % E.p
+        for y in sqrts.get(rhs, []):
+            pts.append((x, y))
+    return pts
+
+
+def ec_add(P, Q, E):
+    """The chord-and-tangent group law on E(F_p)."""
+    p = E.p
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if P == Q:
+        lam = (3 * x1 * x1 + E.a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1) % p
+    return (x3, y3)
+
+
+def ec_mul(k, P, E):
+    R = None
+    Q = P
+    while k:
+        if k & 1:
+            R = ec_add(R, Q, E)
+        Q = ec_add(Q, Q, E)
+        k >>= 1
+    return R
+
+
+def four_torsion_oracle(E):
+    """#E(F_p)[4] by listing E(F_p) and doubling each point twice: the
+    slow reference for qpl.localfp.curve_four_torsion."""
+    n = 0
+    for P in curve_points(E):
+        T2 = ec_add(P, P, E)
+        if ec_add(T2, T2, E) is None:
+            n += 1
+    return n

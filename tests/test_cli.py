@@ -307,6 +307,19 @@ def test_qp_solve_prime_over_primality_limit_exit_1(tmp_path, capsys):
     assert str(MR_LIMIT) in err
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["stabilizer-fp", DIAG, "--prime", "211"], 211 ** 4),
+    (["qp-solve", DIAG, "--prime", "1009"], 1009 ** 3 + 1009 ** 2 + 1010),
+])
+def test_fp_work_over_limit_exit_1(tmp_path, capsys, argv, rows):
+    # each would ask numpy for tens of GB without the work limit
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert " %d rows" % rows in captured.err
+
+
 def test_selmer_bound(tmp_path, capsys):
     code, obj = run_json(capsys, ["selmer-bound", "--target-s2", "3",
                                   "--target-order4", "4",

@@ -76,6 +76,34 @@ def test_q_values_match_gram():
             assert quad == 2 * q
 
 
+def test_jacobian_minors_match_gram():
+    rng = random.Random(2)
+    for _ in range(20):
+        pair = random_pair(rng)
+        x = [rng.randint(-3, 3) for _ in range(4)]
+        ja, jb = ([sum(M[i][j] * x[j] for j in range(4)) for i in range(4)]
+                  for M in (pair.gram2(0), pair.gram2(1)))
+        assert pair.jacobian_minors(x) == tuple(
+            ja[k] * jb[l] - ja[l] * jb[k]
+            for k in range(4) for l in range(k + 1, 4))
+
+
+@pytest.mark.parametrize("pair", [
+    PairOfQuadrics(list(range(-9, 11))),
+    PairOfQuadrics([0] * 20),                    # every coordinate = 0 mod p
+    PairOfQuadrics.from_named(a11=1, b22=3),     # many zero coefficients
+    PairOfQuadrics.from_string("1/2 " + "0 " * 9 + "-2/3 " + "1 " * 8 + "5/7"),
+], ids=["ints", "zero", "sparse", "fractions"])
+def test_evaluators_on_columns_match_scalars(pair):
+    rng = np.random.default_rng(3)
+    X = rng.integers(-7, 8, size=(40, 4), dtype=np.int64)
+    for evaluate in (pair.q_values, pair.jacobian_minors):
+        cols = evaluate(X.T)
+        assert all(np.shape(c) == (40,) for c in cols)
+        for n, x in enumerate(X.tolist()):
+            assert tuple(c[n] for c in cols) == evaluate(x)
+
+
 # -- resolvent --------------------------------------------------------------
 
 

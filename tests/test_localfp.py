@@ -9,15 +9,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpl import PairOfQuadrics, invariants
-from qpl.arith import DegenerateInput, QplError
-from qpl.localfp import (FpCurve, curve_four_torsion, curve_from_invariants,
-                         curve_points, ec_add, ec_mul,
-                         four_torsion_from_group_order,
+from qpl.arith import DegenerateInput, QplError, is_prime
+from qpl.forms import resolvent_quartic
+from qpl.localfp import (MAX_FP_ROWS, FpCurve, curve_four_torsion,
+                         curve_from_invariants, four_torsion_from_group_order,
                          fp_points_on_intersection,
                          jacobian_four_torsion_small_p, proj_point_array,
                          qp_soluble, stabilizer_order_fp)
+from qpl.quartic import BinaryQuartic, compose_row
 
-from conftest import (random_nondegenerate_pair, random_pair,
+from conftest import (curve_points, ec_add, ec_mul, four_torsion_oracle,
+                      random_nondegenerate_pair, random_pair,
                       stabilizer_order_oracle)
 
 
@@ -117,6 +119,18 @@ def test_point_scan_rejects_bad_input():
     half = PairOfQuadrics.from_string("1/2 " + "0 " * 18 + "1")
     with pytest.raises(QplError):
         fp_points_on_intersection(half, 3)
+
+
+def test_fp_arrays_respect_work_limit():
+    # the largest accepted primes: 61 for the point scan, 19 for the
+    # stabilizer's GL_2 filter; the next primes are refused before any
+    # array is built
+    assert 61 ** 3 + 61 ** 2 + 62 <= MAX_FP_ROWS < 67 ** 3
+    assert 19 ** 4 <= MAX_FP_ROWS < 23 ** 4
+    with pytest.raises(QplError, match="%d rows" % (67 ** 3 + 67 ** 2 + 68)):
+        proj_point_array(67)
+    with pytest.raises(QplError, match="%d rows" % 23 ** 4):
+        stabilizer_order_fp(DIAG, 23)
 
 
 # -- p-adic solubility ------------------------------------------------------
@@ -253,6 +267,26 @@ def test_group_law():
     assert ec_add(ec_add(P, Q, E), R, E) == ec_add(P, ec_add(Q, R, E), E)
 
 
+def _nonsingular_curves(p):
+    return [FpCurve(p, a, b) for a in range(p) for b in range(p)
+            if (4 * a ** 3 + 27 * b ** 2) % p]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_four_torsion_matches_oracle_every_curve(p):
+    for E in _nonsingular_curves(p):
+        assert curve_four_torsion(E) == four_torsion_oracle(E), (E.a, E.b)
+
+
+@given(st.sampled_from([p for p in range(29, 400) if is_prime(p)]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_four_torsion_matches_oracle_random_curves(p, a, b):
+    assume((4 * a ** 3 + 27 * b ** 2) % p)
+    E = FpCurve(p, a % p, b % p)
+    assert curve_four_torsion(E) == four_torsion_oracle(E)
+
+
 def test_four_torsion_table():
     assert [four_torsion_from_group_order(n) for n in range(1, 8)] == \
         [1, 2, 1, 4, 1, 2, 1]
@@ -296,9 +330,40 @@ def test_char3_stabilizer_can_exceed_four_torsion():
     assert jacobian_four_torsion_small_p(pair, 3) == 1
 
 
+# the eight nontrivial unipotent elements of GL_2(F_3): trace 2, det 1
+_UNIPOTENTS_F3 = [[[r, s], [t, u]] for r, s, t, u in product(range(3), repeat=4)
+                  if (r + u) % 3 == 2 and (r * u - s * t) % 3 == 1
+                  and (r, s, t, u) != (1, 0, 0, 1)]
+
+
+def _fixed_by_unipotent_mod_3(pair):
+    f = resolvent_quartic(pair).reduce_mod(3)
+    return any(compose_row(f, g).reduce_mod(3) == f for g in _UNIPOTENTS_F3)
+
+
+def test_char3_excess_is_unipotent_fixing():
+    # Tested observation (no proof written down): over F_3 the stabilizer
+    # order is 3 * #E(F_3)[4] exactly when the resolvent mod 3 is fixed
+    # by a nontrivial unipotent element of GL_2(F_3), and #E(F_3)[4]
+    # otherwise.  This names the pairs that criterion 07 reports.
+    assert len(_UNIPOTENTS_F3) == 8
+    rng = random.Random(11)
+    fixed = checked = 0
+    while checked < 200:
+        pair = random_pair(rng, bound=4)
+        if invariants(pair).disc % 3 == 0:
+            continue
+        checked += 1
+        excess = 3 if _fixed_by_unipotent_mod_3(pair) else 1
+        assert stabilizer_order_fp(pair, 3) == \
+            excess * jacobian_four_torsion_small_p(pair, 3), pair
+        fixed += excess == 3
+    assert 0 < fixed < checked
+    assert _fixed_by_unipotent_mod_3(CHAR3_ORDER3)
+    assert _fixed_by_unipotent_mod_3(CHAR3_ORDER12)
+
+
 def test_symmetric_pair_at_11_curve():
-    from qpl.forms import resolvent_quartic
-    from qpl.quartic import BinaryQuartic
     assert resolvent_quartic(SYM11).reduce_mod(11) == BinaryQuartic(5, 0, 0, 0, 5)
     inv = invariants(SYM11)
     E = curve_from_invariants(inv.I, inv.J, 11)
