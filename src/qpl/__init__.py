@@ -17,8 +17,7 @@ from .forms import (COORD_NAMES, GroupElement, InvariantPair, PairOfQuadrics,
 from .realgeom import is_R_soluble, real_class, representative_L
 from .localfp import (FpCurve, SolubilityVerdict, curve_four_torsion,
                       curve_from_invariants, fp_points_on_intersection,
-                      four_torsion_from_group_order,
-                      jacobian_four_torsion_small_p, qp_soluble,
+                      jacobian_four_torsion, qp_soluble,
                       stabilizer_order_fp)
 from .sieve import (apply_gamma_p, gamma_p, in_Wp, in_Wp1, in_Wp2,
                     normalize_Wp2, random_wp2_instance, sieve_scan,

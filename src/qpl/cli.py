@@ -29,9 +29,7 @@ from .realgeom import is_R_soluble, real_class
 from .counting import (DEFAULT_CHUNK, PREDICATES, count_invariant_pairs,
                        davenport_check, enumerate_curves, scan_box, shear_region,
                        verify_sibound_products, verify_weight_sums)
-from .localfp import (curve_four_torsion, curve_from_invariants,
-                      jacobian_four_torsion_small_p, qp_soluble,
-                      stabilizer_order_fp)
+from .localfp import jacobian_four_torsion, qp_soluble, stabilizer_order_fp
 from .selmer import SelmerShape, extremal_bound
 from .sieve import SievePrimeData, random_integral_group_element, sieve_scan
 
@@ -202,14 +200,9 @@ def cmd_stabilizer_fp(args):
     pair = _parse_pair(args.pair)
     p = args.prime
     order = stabilizer_order_fp(pair, p)
-    obj = {"prime": p, "stabilizer_order": order}
-    inv = invariants(pair)
-    if p > 3:
-        torsion = curve_four_torsion(curve_from_invariants(inv.I, inv.J, p))
-    else:
-        torsion = jacobian_four_torsion_small_p(pair, p)
-    obj["curve_four_torsion"] = torsion
-    obj["agrees"] = order == torsion
+    torsion = jacobian_four_torsion(pair, p)
+    obj = {"prime": p, "stabilizer_order": order,
+           "curve_four_torsion": torsion, "agrees": order == torsion}
     return _emit_json(args, "stabilizer-fp",
                       {"pair": args.pair, "prime": p}, obj)
 

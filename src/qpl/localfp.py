@@ -12,7 +12,8 @@ coordinates may be of any size; no array over F_p exceeds MAX_FP_ROWS
 rows, and larger work raises QplError before anything is allocated.
 
 The headline identity tested downstream: for a nondegenerate pair, the
-stabilizer order equals #E(F_p)[4] for E: y^2 = x^3 - (I/3)x - (J/27).
+stabilizer order equals #E(F_p)[4] for the Jacobian E of the quadric
+intersection, taken from the resolvent's cubic model at every odd p.
 """
 
 from dataclasses import dataclass
@@ -240,6 +241,8 @@ class FpCurve:
 
 def curve_from_invariants(I, J, p):
     """E: y^2 = x^3 - (I/3) x - (J/27) reduced mod p (p > 3)."""
+    if p <= 3 or not is_prime(p):     # before 3 is inverted mod p
+        raise QplError("FpCurve needs a prime p > 3")
     a = (-I * pow(3, -1, p)) % p
     b = (-J * pow(27, -1, p)) % p
     return FpCurve(p, a, b)
@@ -250,52 +253,51 @@ def _is_square_mod(v, p):
     return pow(v, (p - 1) // 2, p) == 1
 
 
-def curve_four_torsion(E):
-    """#E(F_p)[4] by 2-descent (Silverman, The Arithmetic of Elliptic
-    Curves, ch. X): doubling maps E(F_p)[4] onto the 2-torsion points that
-    are doubles in E(F_p), with kernel E[2](F_p), so the count is
-    #E[2](F_p) times the number of those doubles.
+def _cubic_four_torsion(c, P, Q, p):
+    """#E(F_p)[4] for E: y^2 = g(x) = x^3 + c x^2 + P x + Q, g squarefree
+    mod the odd prime p, by 2-descent (Silverman, The Arithmetic of
+    Elliptic Curves, ch. X): doubling maps E(F_p)[4] onto the 2-torsion
+    points that are doubles in E(F_p), with kernel E[2](F_p), so the count
+    is #E[2](F_p) times the number of those doubles.
 
-    With three roots e of x^3 + ax + b in F_p, (e, 0) is a double iff
-    e - e' is a square for both other roots e'.  With one root, it is a
-    double iff 3e^2 + a = N(e - e') is a square, as an element e - e' of
-    F_{p^2} is a square iff its norm is.  The roots are simple, so every
-    tested value is a unit.
+    With three roots e of g in F_p, (e, 0) is a double iff e - e' is a
+    square for both other roots e'.  With one root, it is a double iff
+    g'(e) = N(e - e') is a square, as an element e - e' of F_{p^2} is a
+    square iff its norm is.  The roots are simple, so every tested value
+    is a unit.
     """
-    p = E.p
-    roots = [r for (r, s), _ in roots_mod_p(BinaryQuartic(0, 1, 0, E.a, E.b), p)
+    roots = [r for (r, s), _ in roots_mod_p(BinaryQuartic(0, 1, c, P, Q), p)
              if s]
     if len(roots) == 3:
         doubles = sum(all(_is_square_mod(e - f, p) for f in roots if f != e)
                       for e in roots)
     else:
-        doubles = sum(_is_square_mod(3 * e * e + E.a, p) for e in roots)
+        doubles = sum(_is_square_mod((3 * e + 2 * c) * e + P, p) for e in roots)
     return (1 + len(roots)) * (1 + doubles)
 
 
-_FOUR_TORSION_BY_ORDER = {1: 1, 2: 2, 3: 1, 4: 4, 5: 1, 6: 2, 7: 1}
+def curve_four_torsion(E):
+    """#E(F_p)[4] by 2-descent on x^3 + ax + b."""
+    return _cubic_four_torsion(0, E.a, E.b, E.p)
 
 
-def four_torsion_from_group_order(n):
-    """#E[4]-rational from #E(F_p) when #E(F_p) <= 7.
+def jacobian_four_torsion(pair, p):
+    """#E(F_p)[4] for the Jacobian E of the pair's quadric intersection, at
+    any odd prime p not dividing disc.  E is the resolvent's cubic model
+    y^2 = x^3 + c x^2 + (bd - 4ae) x + (b^2 e + a d^2 - 4ace) for
+    f = (a, b, c, d, e) (Cremona, J. Symbolic Comput. 31, 2001), whose
+    cubic has discriminant disc; for p > 3, x -> x - c/3 turns it into
+    y^2 = x^3 - (I/3) x - J/27."""
+    if p == 2 or not is_prime(p):
+        raise QplError("need an odd prime, got %r" % (p,))
+    if not pair.is_integral():
+        raise QplError("4-torsion count needs integral coordinates")
+    if invariants(pair).disc % p == 0:
+        raise DegenerateInput("discriminant vanishes mod %d" % p)
+    a, b, c, d, e = resolvent_quartic(pair).coeffs()
+    return _cubic_four_torsion(c % p, (b * d - 4 * a * e) % p,
+                               (b * b * e + a * d * d - 4 * a * c * e) % p, p)
 
-    Orders up to 7 determine the group up to the ambiguity Z/4 vs
-    (Z/2)^2 at n = 4, and both have all four elements killed by 4.
-    """
-    if n not in _FOUR_TORSION_BY_ORDER:
-        raise QplError("group order %d does not determine 4-torsion without more data" % n)
-    return _FOUR_TORSION_BY_ORDER[n]
 
-
-def jacobian_four_torsion_small_p(pair, p):
-    """#E(F_p)[4] for the Jacobian of the pair's quadric intersection,
-    derived from the point count of the intersection itself (the curve is
-    a torsor of its Jacobian, so over a finite field the counts agree).
-    Only valid where Hasse forces the order to be <= 7, i.e. p = 3."""
-    pts = fp_points_on_intersection(pair, p)
-    if not all(s for _, s in pts):
-        raise DegenerateInput("intersection is singular mod %d" % p)
-    n = len(pts)
-    if abs(n - (p + 1)) > 2 * p ** 0.5:
-        raise QplError("point count %d violates the Hasse window at %d" % (n, p))
-    return four_torsion_from_group_order(n)
+# the name criterion 07 imports
+jacobian_four_torsion_small_p = jacobian_four_torsion

@@ -12,7 +12,7 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 
-from .arith import QplError, resultant
+from .arith import QplError, is_prime, resultant
 
 
 class BinaryQuartic:
@@ -371,8 +371,10 @@ def roots_mod_p(f, p):
     """Projective roots of f over F_p with multiplicities.
 
     Returns a sorted list of ((r, s), mult) with (r, s) normalized to
-    s = 1 or (1, 0).  Raises if f vanishes identically mod p.
+    s = 1 or (1, 0).  Raises unless p is prime and f is nonzero mod p.
     """
+    if not is_prime(p):
+        raise QplError("need a prime, got %r" % (p,))
     cs = [c % p for c in f.coeffs()]
     if all(c == 0 for c in cs):
         raise QplError("quartic vanishes identically mod %d" % p)
@@ -412,8 +414,10 @@ def repeated_factor_mod_p(f, p):
 
     Returns None (squarefree), ("linear", [roots with mult >= 2]), or
     ("quadratic", gcd-coeffs) when the repeated factor is an irreducible
-    quadratic over F_p.  Only meaningful for odd p.
+    quadratic over F_p.  p must be an odd prime.
     """
+    if p == 2 or not is_prime(p):
+        raise QplError("need an odd prime, got %r" % (p,))
     cs = [c % p for c in f.coeffs()]
     if all(c == 0 for c in cs):
         raise QplError("quartic vanishes identically mod %d" % p)

@@ -7,6 +7,7 @@ from qpl import GroupElement, PairOfQuadrics
 from qpl.arith import (_PERMS, DegenerateInput, QplError, det_generic, iroot,
                        is_prime, mat_identity, mat_mul)
 from qpl.counting import InvariantPairCount
+from qpl.localfp import fp_points_on_intersection
 
 
 def random_pair(rng, bound=5):
@@ -268,3 +269,32 @@ def four_torsion_oracle(E):
         if ec_add(T2, T2, E) is None:
             n += 1
     return n
+
+
+_FOUR_TORSION_BY_ORDER = {1: 1, 2: 2, 3: 1, 4: 4, 5: 1, 6: 2, 7: 1}
+
+
+def four_torsion_from_group_order(n):
+    """#E(F_p)[4] from #E(F_p) when #E(F_p) <= 7.
+
+    Orders up to 7 determine the group up to the ambiguity Z/4 vs
+    (Z/2)^2 at n = 4, and both have all four elements killed by 4.
+    """
+    if n not in _FOUR_TORSION_BY_ORDER:
+        raise QplError("group order %d does not determine 4-torsion without more data" % n)
+    return _FOUR_TORSION_BY_ORDER[n]
+
+
+def jacobian_four_torsion_oracle(pair, p):
+    """#E(F_p)[4] for the Jacobian of the pair's quadric intersection,
+    derived from the point count of the intersection itself (the curve is
+    a torsor of its Jacobian, so over a finite field the counts agree).
+    Only valid where Hasse forces the order to be <= 7, i.e. p = 3: the
+    slow reference for qpl.localfp.jacobian_four_torsion at p = 3."""
+    pts = fp_points_on_intersection(pair, p)
+    if not all(s for _, s in pts):
+        raise DegenerateInput("intersection is singular mod %d" % p)
+    n = len(pts)
+    if abs(n - (p + 1)) > 2 * p ** 0.5:
+        raise QplError("point count %d violates the Hasse window at %d" % (n, p))
+    return four_torsion_from_group_order(n)

@@ -14,6 +14,8 @@ from qpl.cli import main
 
 DIAG = "1 0 0 0 1 0 0 1 0 1 1 0 0 0 2 0 0 3 0 4"
 SYM3 = "1 0 0 0 1 0 0 1 0 1 0 2 0 0 0 2 0 0 2 0"
+# stabilizer order 3 over F_3 against #E(F_3)[4] = 1 (tests/test_localfp.py)
+CHAR3_ORDER3 = "2 5 0 -3 5 4 -5 -2 -3 4 0 5 -4 5 -3 -4 3 3 4 -2"
 # the same pair as DIAG mod 5
 DIAG_HUGE = " ".join([str(1 + 5 * 10 ** 30)] + DIAG.split()[1:])
 
@@ -287,6 +289,15 @@ def test_stabilizer_fp_small_p(tmp_path, capsys):
                                   "--out-dir", str(tmp_path)])
     assert code == 0
     assert obj["stabilizer_order"] == 4 and obj["agrees"] is True
+
+
+def test_stabilizer_fp_char3_excess(tmp_path, capsys):
+    # criterion 07's F_3 excess, through the same 4-torsion count as p > 3
+    code, obj = run_json(capsys, ["stabilizer-fp", CHAR3_ORDER3, "--prime", "3",
+                                  "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert obj == {"prime": 3, "stabilizer_order": 3,
+                   "curve_four_torsion": 1, "agrees": False}
 
 
 def test_qp_solve(tmp_path, capsys):

@@ -3,24 +3,27 @@ solubility verdicts, F_p stabilizer orders, and 4-torsion of the
 associated elliptic curves."""
 
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpl import PairOfQuadrics, invariants
-from qpl.arith import DegenerateInput, QplError, is_prime
-from qpl.forms import resolvent_quartic
+from qpl.arith import DegenerateInput, QplError, det_generic, is_prime
+from qpl.forms import _gram_rows, resolvent_coeffs, resolvent_quartic
 from qpl.localfp import (MAX_FP_ROWS, FpCurve, curve_four_torsion,
-                         curve_from_invariants, four_torsion_from_group_order,
-                         fp_points_on_intersection,
-                         jacobian_four_torsion_small_p, proj_point_array,
+                         curve_from_invariants, fp_points_on_intersection,
+                         jacobian_four_torsion, proj_point_array,
                          qp_soluble, stabilizer_order_fp)
-from qpl.quartic import BinaryQuartic, compose_row
+from qpl.quartic import BinaryQuartic, compose_row, quartic_invariants
 
-from conftest import (curve_points, ec_add, ec_mul, four_torsion_oracle,
-                      random_nondegenerate_pair, random_pair,
-                      stabilizer_order_oracle)
+from conftest import (curve_points, ec_add, ec_mul,
+                      four_torsion_from_group_order, four_torsion_oracle,
+                      jacobian_four_torsion_oracle, random_nondegenerate_pair,
+                      random_pair, stabilizer_order_oracle)
 
 
 DIAG = PairOfQuadrics.from_named(a11=1, a22=1, a33=1, a44=1,
@@ -238,6 +241,13 @@ def test_curve_validation():
         FpCurve(9, 1, 1)
 
 
+@pytest.mark.parametrize("p", [3, 4, 2, 9, 0, -5])
+def test_curve_from_invariants_rejects_bad_p(p):
+    # 3 and 27 are not invertible mod 3, 9 or 0: the prime check comes first
+    with pytest.raises(QplError, match="prime p > 3"):
+        curve_from_invariants(1, 1, p)
+
+
 def test_curve_point_count_fixture():
     E = FpCurve(5, 1, 1)
     assert len(curve_points(E)) == 9
@@ -311,8 +321,10 @@ def test_identity_diag_at_5():
 
 
 def test_identity_symmetric_pair_at_3():
-    # p = 3 goes through the intersection point count (char 3 breaks -I/3)
-    assert jacobian_four_torsion_small_p(SYM3, 3) == 4
+    # the resolvent's cubic model needs only 2 invertible, so p = 3 takes
+    # the same 2-descent as every other prime
+    assert jacobian_four_torsion(SYM3, 3) == 4
+    assert jacobian_four_torsion_oracle(SYM3, 3) == 4
     assert stabilizer_order_fp(SYM3, 3) == 4
 
 
@@ -327,7 +339,7 @@ def test_char3_stabilizer_can_exceed_four_torsion():
     assert invariants(pair).disc % 3 != 0          # nondegenerate mod 3
     assert invariants(pair).I % 3 == 0
     assert stabilizer_order_oracle(pair, 3) == stabilizer_order_fp(pair, 3) == 3
-    assert jacobian_four_torsion_small_p(pair, 3) == 1
+    assert jacobian_four_torsion(pair, 3) == 1
 
 
 # the eight nontrivial unipotent elements of GL_2(F_3): trace 2, det 1
@@ -356,7 +368,7 @@ def test_char3_excess_is_unipotent_fixing():
         checked += 1
         excess = 3 if _fixed_by_unipotent_mod_3(pair) else 1
         assert stabilizer_order_fp(pair, 3) == \
-            excess * jacobian_four_torsion_small_p(pair, 3), pair
+            excess * jacobian_four_torsion(pair, 3), pair
         fixed += excess == 3
     assert 0 < fixed < checked
     assert _fixed_by_unipotent_mod_3(CHAR3_ORDER3)
@@ -375,7 +387,12 @@ def test_jacobian_small_p_rejects_singular():
     # everything vanishes mod 3: every point lies on the intersection and
     # every gradient is zero, so the very first point is singular
     with pytest.raises(DegenerateInput):
-        jacobian_four_torsion_small_p(DIAG.scale(3), 3)
+        jacobian_four_torsion_oracle(DIAG.scale(3), 3)
+    with pytest.raises(DegenerateInput):
+        jacobian_four_torsion(DIAG.scale(3), 3)
+    # disc(DIAG) = 0 mod 3 although its F_3 points are all smooth
+    with pytest.raises(DegenerateInput):
+        jacobian_four_torsion(DIAG, 3)
 
 
 def test_jacobian_small_p_rejects_hasse_violation():
@@ -383,4 +400,100 @@ def test_jacobian_small_p_rejects_hasse_violation():
     # the scan sees 8 smooth points, impossible for a genus-one curve at 3
     assert all(s for _, s in fp_points_on_intersection(DIAG, 3))
     with pytest.raises(QplError):
-        jacobian_four_torsion_small_p(DIAG, 3)
+        jacobian_four_torsion_oracle(DIAG, 3)
+
+
+@pytest.mark.parametrize("p", [2, 4, 9, 1, 0, -3])
+def test_jacobian_four_torsion_rejects_bad_p(p):
+    with pytest.raises(QplError, match="odd prime"):
+        jacobian_four_torsion(DIAG, p)
+
+
+def test_jacobian_four_torsion_rejects_fractions():
+    with pytest.raises(QplError, match="integral"):
+        jacobian_four_torsion(PairOfQuadrics([Fraction(1, 2)] + [1] * 19), 5)
+
+
+_big_coords = st.lists(st.one_of(st.integers(-5, 5),
+                                 st.integers(-10 ** 30, 10 ** 30)),
+                       min_size=20, max_size=20)
+
+
+@given(_big_coords)
+@settings(max_examples=80, deadline=None)
+def test_jacobian_four_torsion_matches_point_count_at_3(coords):
+    pair = PairOfQuadrics(coords)
+    assume(invariants(pair).disc % 3)
+    assert jacobian_four_torsion(pair, 3) == jacobian_four_torsion_oracle(pair, 3)
+
+
+@given(st.sampled_from([p for p in range(5, 400) if is_prime(p)]), _big_coords)
+@settings(max_examples=80, deadline=None)
+def test_jacobian_four_torsion_matches_curve_from_invariants(p, coords):
+    pair = PairOfQuadrics(coords)
+    inv = invariants(pair)
+    assume(inv.disc % p)
+    assert jacobian_four_torsion(pair, p) == \
+        curve_four_torsion(curve_from_invariants(inv.I, inv.J, p))
+
+
+# -- the orbit-mass identity over F_3 ---------------------------------------
+
+
+def _gl_order(n, p):
+    return prod(p ** n - p ** k for k in range(n))
+
+
+def _count_nondegenerate_mod_3(A, B):
+    """Pairs (A, B[:, i]) with 3 not dividing disc = (4I^3 - J^2)/27.
+    The resolvent coefficients are reduced mod 81 first, as 4I^3 would
+    overflow int64; 27 divides 4I^3 - J^2, so 3 divides disc iff 81 does."""
+    f = resolvent_coeffs(A + list(B))
+    I, J = quartic_invariants(BinaryQuartic(*(np.asarray(c) % 81 for c in f)))
+    sd = (4 * (I % 81) ** 3 - (J % 81) ** 2) % 81
+    assert not (sd % 27).any()
+    return int(np.count_nonzero(sd))
+
+
+def test_f3_orbit_mass_identity():
+    # Each nondegenerate fibre of (I, J) over F_p is one orbit over the
+    # algebraic closure, so by Lang's theorem it holds
+    # sum |G(F_p)|/#Stab = |G(F_p)| points, whatever the stabilizers are:
+    # the pairs with p not dividing disc number (p^2 - p) |G(F_p)|, with
+    # |G(F_p)| = |GL_2(F_p)| |GL_4(F_p)| / (p - 1)^2.  Counted exactly at
+    # p = 3, where criterion 07's stabilizer excess lives.  A form over F_3
+    # lies in one of 9 GL_4(F_3) classes, fixed by its rank and the square
+    # class of the discriminant of its nondegenerate part, which a nonzero
+    # principal minor of that rank gives.  Whether 3 divides disc is
+    # GL_4-invariant, so every B is swept against the first and the last
+    # form of each class, and the two counts must agree.
+    p = 3
+    forms = np.indices((p,) * 10).reshape(10, -1)      # all 3^10 forms
+    M = _gram_rows(forms)
+    rank = np.zeros(forms.shape[1], dtype=np.int64)
+    square_class = np.zeros_like(rank)
+    for k in range(1, 5):
+        for S in combinations(range(4), k):
+            sub = [[M[i][j] for j in S] for i in S]
+            m = (sub[0][0] if k == 1 else det_generic(sub)) % p
+            hit = (m != 0) & (rank < k)
+            rank[hit] = k
+            square_class[hit] = m[hit]
+    total = 0
+    sizes = {}
+    for r, q in sorted(set(zip(rank.tolist(), square_class.tolist()))):
+        members = np.flatnonzero((rank == r) & (square_class == q))
+        first, last = ([int(v) for v in forms[:, i]] for i in members[[0, -1]])
+        good = _count_nondegenerate_mod_3(first, forms)
+        assert _count_nondegenerate_mod_3(last, forms) == good
+        if r <= 2:
+            assert good == 0                 # y^2 divides the resolvent
+        sizes.setdefault(r, []).append(len(members))
+        total += len(members) * good
+    assert sum(map(len, sizes.values())) == 9
+    # |GL_4(F_3)| / |O^-_4(F_3)| and / |O^+_4(F_3)|; rank 3: 40 radical
+    # lines times |GL_3(F_3)| / |O_3(F_3)| = 234 for each square class
+    assert sorted(sizes[4]) == [_gl_order(4, p) // 1440, _gl_order(4, p) // 1152]
+    assert sizes[3] == [40 * _gl_order(3, p) // 48] * 2
+    group = _gl_order(2, p) * _gl_order(4, p) // (p - 1) ** 2
+    assert total == (p * p - p) * group == 1_746_800_640

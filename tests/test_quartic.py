@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from qpl.arith import DegenerateInput
+from qpl.arith import DegenerateInput, QplError
 from qpl.forms import coord_columns, resolvent_coeffs
 from qpl.quartic import (BinaryQuartic, compose_row, disc_is_zero,
                          disc_via_resultant, fp_poly_gcd, quartic_invariants,
@@ -195,6 +195,18 @@ def test_repeated_factor_linear():
 
 def test_repeated_factor_squarefree():
     assert repeated_factor_mod_p(BinaryQuartic(1, 0, 0, 0, 1), 5) is None
+
+
+@pytest.mark.parametrize("p", [4, 9, 1, 0, -7])
+def test_roots_mod_p_rejects_non_prime(p):
+    with pytest.raises(QplError, match="need a prime"):
+        roots_mod_p(BinaryQuartic(1, 0, 0, 0, 1), p)
+
+
+@pytest.mark.parametrize("p", [2, 4, 9, 1, 0, -7])
+def test_repeated_factor_rejects_non_odd_prime(p):
+    with pytest.raises(QplError, match="need an odd prime"):
+        repeated_factor_mod_p(BinaryQuartic(1, 0, 0, 0, 1), p)
 
 
 def test_fp_poly_gcd():
