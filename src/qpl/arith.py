@@ -31,12 +31,14 @@ def _perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
-_PERMS = {n: [(p, _perm_sign(p)) for p in permutations(range(n))] for n in (2, 3, 4)}
+_PERMS = {n: [(p, _perm_sign(p)) for p in permutations(range(n))] for n in (1, 2, 3, 4)}
 
 
 def det_generic(M):
-    """Determinant by permutation expansion; works over any commutative ring."""
+    """Determinant by permutation expansion (n <= 4); works over any commutative ring."""
     n = len(M)
+    if n not in _PERMS:
+        raise QplError("det_generic handles sizes 1 to 4, got %d" % n)
     total = None
     for perm, sign in _PERMS[n]:
         term = M[0][perm[0]]
@@ -104,7 +106,9 @@ def ext_gcd(a, b):
 
 
 def valuation(n, p):
-    """p-adic valuation of a nonzero integer; raises on n = 0."""
+    """p-adic valuation of a nonzero integer; raises on n = 0 or p < 2."""
+    if p < 2:
+        raise QplError("valuation needs a base p >= 2, got %r" % (p,))
     if n == 0:
         raise QplError("valuation of zero is undefined")
     v = 0

@@ -103,6 +103,8 @@ def qp_soluble(pair, p, depth=None):
     branches everywhere mean insoluble; surviving singular branches at
     the depth limit mean unknown.
     """
+    if not is_prime(p) or p == 2:
+        raise QplError("need an odd prime, got %r" % (p,))
     inv = invariants(pair)
     sd = inv.scaled_disc
     if sd == 0:

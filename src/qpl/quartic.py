@@ -8,7 +8,9 @@ operations require exact integers or rationals.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, lcm, prod
+from operator import index
 
 import numpy as np
 
@@ -367,67 +369,60 @@ def fp_poly_gcd(f, g, p):
     return f
 
 
+def _fp_poly_powmod(u, n, m, p):
+    """u^n mod the polynomial m over F_p, by repeated squaring; n >= 1."""
+    def mulmod(v, w):
+        return _fp_poly_divmod(_conv(v, w), m, p)[1] if v and w else []
+
+    out = [1]
+    while n:
+        if n & 1:
+            out = mulmod(out, u)
+        u = mulmod(u, u)
+        n >>= 1
+    return out
+
+
+def _fp_split_roots(g, p):
+    """The roots of a monic product g of distinct linear factors over F_p.
+    For odd p, gcd(g, (x + t)^((p-1)/2) - 1) keeps the roots r with r + t a
+    nonzero square; t = 0, 1, ... runs to the first proper factor, which
+    some t < p gives (Cantor-Zassenhaus, Math. Comp. 36, 1981)."""
+    if len(g) <= 2:
+        return [(-g[1]) % p] if len(g) == 2 else []
+    if p == 2:  # g = x (x + 1)
+        return [0, 1]
+    for t in count():
+        h = [0] + _fp_poly_powmod([1, t], (p - 1) // 2, g, p)
+        h[-1] -= 1
+        d = fp_poly_gcd(g, h, p)
+        if 1 < len(d) < len(g):
+            return (_fp_split_roots(d, p)
+                    + _fp_split_roots(_fp_poly_divmod(g, d, p)[0], p))
+
+
 def roots_mod_p(f, p):
     """Projective roots of f over F_p with multiplicities.
 
     Returns a sorted list of ((r, s), mult) with (r, s) normalized to
-    s = 1 or (1, 0).  Raises unless p is prime and f is nonzero mod p.
+    s = 1 or (1, 0).  Raises unless p is prime, f is integral and nonzero
+    mod p.  Affine roots split gcd(f(x, 1), x^p - x), in time polynomial in log p.
     """
     if not is_prime(p):
         raise QplError("need a prime, got %r" % (p,))
-    cs = [c % p for c in f.coeffs()]
-    if all(c == 0 for c in cs):
+    try:
+        poly = _poly_trim([index(c) % p for c in f.coeffs()])  # f(x, 1), highest first
+    except TypeError:
+        raise QplError("roots mod p need integer coefficients, got %r" % (f,)) from None
+    if not poly:
         raise QplError("quartic vanishes identically mod %d" % p)
-    roots = []
     # multiplicity of [1:0] = number of leading zero coefficients
-    lead_zeros = 0
-    for c in cs:
-        if c == 0:
-            lead_zeros += 1
-        else:
-            break
-    if lead_zeros:
-        roots.append(((1, 0), lead_zeros))
-    poly = cs  # f(x, 1), highest degree first
-    for r in range(p):
-        if _fp_eval(poly, r, p) == 0:
-            mult = 0
-            g = poly
-            while _fp_eval(g, r, p) == 0 and len(g) > 1:
-                g, rem = _fp_poly_divmod(g, [1, (-r) % p], p)
-                assert not rem
-                mult += 1
-            if mult:
-                roots.append(((r, 1), mult))
+    roots = [((1, 0), 5 - len(poly))] if len(poly) < 5 else []
+    xp = [0, 0] + _fp_poly_powmod([1, 0], p, poly, p)
+    xp[-2] -= 1  # x^p - x mod f(x, 1)
+    for r in _fp_split_roots(fp_poly_gcd(poly, xp, p), p):
+        q, rem, mult = poly, [], -1
+        while not rem:
+            (q, rem), mult = _fp_poly_divmod(q, [1, -r], p), mult + 1
+        roots.append(((r, 1), mult))
     return sorted(roots)
-
-
-def _fp_eval(poly, x, p):
-    acc = 0
-    for c in poly:
-        acc = (acc * x + c) % p
-    return acc
-
-
-def repeated_factor_mod_p(f, p):
-    """Structure of the repeated part of f mod p, via gcd(f, f').
-
-    Returns None (squarefree), ("linear", [roots with mult >= 2]), or
-    ("quadratic", gcd-coeffs) when the repeated factor is an irreducible
-    quadratic over F_p.  p must be an odd prime.
-    """
-    if p == 2 or not is_prime(p):
-        raise QplError("need an odd prime, got %r" % (p,))
-    cs = [c % p for c in f.coeffs()]
-    if all(c == 0 for c in cs):
-        raise QplError("quartic vanishes identically mod %d" % p)
-    dcs = [(4 - i) * c % p for i, c in enumerate(cs[:-1])]
-    g = fp_poly_gcd(cs, dcs, p)
-    rep = [(root, m) for root, m in roots_mod_p(f, p) if m >= 2]
-    if rep:
-        return ("linear", rep)
-    if len(g) - 1 >= 2:
-        return ("quadratic", g)
-    # Degree drop can hide a repeated root at infinity (mult of [1:0] >= 2 is
-    # already covered by roots_mod_p); remaining case: gcd trivial.
-    return None

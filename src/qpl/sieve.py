@@ -18,7 +18,7 @@ from .arith import (PreconditionError, QplError, ext_gcd, is_prime,
                     kernel_mod_p, complete_unimodular, mat_identity)
 from .forms import (COORD_NAMES, GroupElement, PairOfQuadrics, act, coord_columns,
                     invariants, resolvent_coeffs, resolvent_quartic, scaled_discs)
-from .quartic import repeated_factor_mod_p
+from .quartic import roots_mod_p
 
 
 def _scaled_disc(pair):
@@ -108,15 +108,10 @@ def normalize_Wp2(pair, p):
     if _satisfies_normal_conditions(pair, p):
         return GroupElement.identity(), pair
 
-    f = resolvent_quartic(pair)
-    rep = repeated_factor_mod_p(f, p)
-    if rep is None:
-        raise QplError("no repeated factor mod %d despite p^2 | disc" % p)
-    kind, data = rep
-    if kind == "quadratic":
-        raise QplError("repeated factor mod %d is an irreducible quadratic; "
-                       "no rational double root to normalize" % p)
-    (r, s), _mult = data[0]
+    double = [root for root, m in roots_mod_p(resolvent_quartic(pair), p) if m >= 2]
+    if not double:
+        raise QplError("resolvent has no rational double root mod %d" % p)
+    r, s = double[0]
 
     g, x, y = ext_gcd(r, s)
     if g != 1:

@@ -298,3 +298,24 @@ def jacobian_four_torsion_oracle(pair, p):
     if abs(n - (p + 1)) > 2 * p ** 0.5:
         raise QplError("point count %d violates the Hasse window at %d" % (n, p))
     return four_torsion_from_group_order(n)
+
+
+def roots_mod_p_oracle(f, p):
+    """qpl.quartic.roots_mod_p by trying every r < p: the multiplicity of
+    [r:1] is the number of exact synthetic divisions of f(x, 1) by x - r,
+    that of [1:0] the number of leading coefficients divisible by p."""
+    cs = [c % p for c in f.coeffs()]
+    lead = next(i for i, c in enumerate(cs) if c)
+    roots = [((1, 0), lead)] if lead else []
+    for r in range(p):
+        g, mult = cs[lead:], 0
+        while len(g) > 1:
+            q = [g[0]]
+            for c in g[1:]:
+                q.append((q[-1] * r + c) % p)
+            if q.pop():
+                break
+            g, mult = q, mult + 1
+        if mult:
+            roots.append(((r, 1), mult))
+    return sorted(roots)

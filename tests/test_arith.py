@@ -25,6 +25,12 @@ def test_det_against_sympy():
         assert det_bareiss(M) == expected
 
 
+def test_det_generic_sizes():
+    assert det_generic([[5]]) == 5
+    with pytest.raises(QplError, match="sizes 1 to 4"):
+        det_generic([[int(i == j) for j in range(5)] for i in range(5)])
+
+
 def test_det_fraction_entries():
     M = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]]
     assert det_generic(M) == Fraction(1, 2) * Fraction(2, 7) - Fraction(1, 3) * Fraction(1, 5)
@@ -69,6 +75,12 @@ def test_valuation():
     assert valuation(7, 5) == 0
     with pytest.raises(Exception):
         valuation(0, 3)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_valuation_rejects_base_below_2(p):
+    with pytest.raises(QplError, match="base p >= 2"):
+        valuation(12, p)
 
 
 def test_is_prime_small():

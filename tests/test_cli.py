@@ -318,6 +318,16 @@ def test_qp_solve_prime_over_primality_limit_exit_1(tmp_path, capsys):
     assert str(MR_LIMIT) in err
 
 
+@pytest.mark.parametrize("prime", ["1", "-1", "0"])
+def test_qp_solve_prime_below_2_exit_1(tmp_path, capsys, prime):
+    # valuation(sd, 1) looped forever before the prime was checked
+    code = main(["qp-solve", DIAG, "--prime", prime, "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: need an odd prime")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv, rows", [
     (["stabilizer-fp", DIAG, "--prime", "211"], 211 ** 4),
     (["qp-solve", DIAG, "--prime", "1009"], 1009 ** 3 + 1009 ** 2 + 1010),

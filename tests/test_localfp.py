@@ -437,6 +437,19 @@ def test_jacobian_four_torsion_matches_curve_from_invariants(p, coords):
         curve_four_torsion(curve_from_invariants(inv.I, inv.J, p))
 
 
+@given(_big_coords)
+@settings(max_examples=40, deadline=None)
+def test_jacobian_four_torsion_at_large_p(coords):
+    # the roots of the cubic come from gcd(g, x^p - x), not a loop over F_p
+    p = 10 ** 18 + 3
+    pair = PairOfQuadrics(coords)
+    inv = invariants(pair)
+    assume(inv.disc % p)
+    n = jacobian_four_torsion(pair, p)
+    assert n in (1, 2, 4, 8, 16)
+    assert n == curve_four_torsion(curve_from_invariants(inv.I, inv.J, p))
+
+
 # -- the orbit-mass identity over F_3 ---------------------------------------
 
 

@@ -6,15 +6,15 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from qpl.arith import DegenerateInput, QplError
+from qpl.arith import MR_LIMIT, DegenerateInput, QplError, is_prime
 from qpl.forms import coord_columns, resolvent_coeffs
 from qpl.quartic import (BinaryQuartic, compose_row, disc_is_zero,
                          disc_via_resultant, fp_poly_gcd, quartic_invariants,
                          rational_linear_factor, real_projective_root_count,
-                         repeated_factor_mod_p, root_free_mask, roots_mod_p)
+                         root_free_mask, roots_mod_p)
 from qpl.realgeom import real_class
 
-from conftest import disc
+from conftest import disc, roots_mod_p_oracle
 
 X, Y = sympy.symbols("x y")
 
@@ -178,23 +178,30 @@ def test_roots_mod_p_at_infinity_multiplicity():
     assert roots[(1, 0)] == 2
 
 
-def test_repeated_factor_irreducible_quadratic():
-    # (x^2 + y^2)^2 mod 3: x^2+y^2 is irreducible over F_3
-    f = BinaryQuartic(1, 0, 2, 0, 1)
-    kind, data = repeated_factor_mod_p(f, 3)
-    assert kind == "quadratic"
+def _expand(expr):
+    expr = sympy.expand(expr)
+    return BinaryQuartic(*(int(expr.coeff(X, 4 - i).coeff(Y, i)) for i in range(5)))
 
 
-def test_repeated_factor_linear():
-    expr = sympy.expand((X - Y) ** 2 * (X + Y) * (X - 3 * Y))
-    f = BinaryQuartic(*(int(expr.coeff(X, 4 - i).coeff(Y, i)) for i in range(5)))
-    kind, data = repeated_factor_mod_p(f, 7)
-    assert kind == "linear"
-    assert ((1, 1), 2) in data
-
-
-def test_repeated_factor_squarefree():
-    assert repeated_factor_mod_p(BinaryQuartic(1, 0, 0, 0, 1), 5) is None
+@pytest.mark.parametrize("f, p, roots", [
+    # a linear double factor and two simple ones
+    (_expand((X - Y) ** 2 * (X + Y) * (X - 3 * Y)), 7, [((1, 1), 2), ((3, 1), 1), ((6, 1), 1)]),
+    # squarefree with no root: x^4 is 0 or 1 on F_5
+    (BinaryQuartic(1, 0, 0, 0, 1), 5, []),
+    # the square of x^2 + y^2, irreducible over F_3
+    (BinaryQuartic(1, 0, 2, 0, 1), 3, []),
+    # x^3 (x + y) over F_2, where (p - 1)/2 = 0 splits nothing
+    (BinaryQuartic(1, 1, 0, 0, 0), 2, [((0, 1), 3), ((1, 1), 1)]),
+    # f(x, 1) = 3 x^4 divides x^p: x^p mod f(x, 1) is 0
+    (BinaryQuartic(3, 0, 0, 0, 0), 7, [((0, 1), 4)]),
+    # x^2 (x - y)(x + y): every point of P^1(F_3) but [1:0]
+    (BinaryQuartic(1, 0, -1, 0, 0), 3, [((0, 1), 2), ((1, 1), 1), ((2, 1), 1)]),
+    # 4 y^4: f(x, 1) is a nonzero constant
+    (BinaryQuartic(0, 0, 0, 0, 4), 3, [((1, 0), 4)]),
+], ids=["linear-double", "squarefree", "irreducible-square", "p2", "zero-remainder",
+        "all-affine-points", "infinity-only"])
+def test_roots_mod_p_known_roots(f, p, roots):
+    assert roots_mod_p(f, p) == roots == roots_mod_p_oracle(f, p)
 
 
 @pytest.mark.parametrize("p", [4, 9, 1, 0, -7])
@@ -203,10 +210,62 @@ def test_roots_mod_p_rejects_non_prime(p):
         roots_mod_p(BinaryQuartic(1, 0, 0, 0, 1), p)
 
 
-@pytest.mark.parametrize("p", [2, 4, 9, 1, 0, -7])
-def test_repeated_factor_rejects_non_odd_prime(p):
-    with pytest.raises(QplError, match="need an odd prime"):
-        repeated_factor_mod_p(BinaryQuartic(1, 0, 0, 0, 1), p)
+def test_roots_mod_p_rejects_non_integral():
+    with pytest.raises(QplError, match="integer coefficients"):
+        roots_mod_p(BinaryQuartic(Fraction(1, 2), 0, 0, 0, Fraction(-1, 2)), 5)
+    with pytest.raises(QplError, match="integer coefficients"):
+        roots_mod_p(BinaryQuartic(1.0, 0, 0, 0, 1), 5)
+    # integral Fractions become ints, and numpy integers are integers
+    assert roots_mod_p(BinaryQuartic(Fraction(4, 2), 0, 0, 0, -2), 5) == \
+        roots_mod_p(BinaryQuartic(*(np.int64(c) for c in (2, 0, 0, 0, -2))), 5) == \
+        [((1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((4, 1), 1)]
+
+
+_PRIMES = [p for p in range(2, 10 ** 4) if is_prime(p)]
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from((2, 3)), st.sampled_from(_PRIMES)),
+       st.lists(st.one_of(st.integers(-3, 3), _BIG), min_size=5, max_size=5))
+def test_roots_mod_p_matches_oracle(p, cs):
+    f = BinaryQuartic(*cs)
+    if all(c % p == 0 for c in cs):
+        with pytest.raises(QplError, match="vanishes identically"):
+            roots_mod_p(f, p)
+    else:
+        assert roots_mod_p(f, p) == roots_mod_p_oracle(f, p)
+
+
+# the largest prime below MR_LIMIT, the bound of is_prime
+_PRIME_BELOW_MR_LIMIT = MR_LIMIT - 168
+
+
+def _non_residue(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((10 ** 12 + 39, 10 ** 18 + 3, _PRIME_BELOW_MR_LIMIT)), st.data())
+def test_roots_mod_p_of_chosen_roots_at_large_p(p, data):
+    """A quartic built from chosen roots in P^1(F_p), repeated by drawing
+    four of at most four, and optionally an irreducible quadratic factor
+    in place of the last two, returns exactly those roots."""
+    assert is_prime(p)
+    root = st.one_of(st.just((1, 0)), st.tuples(st.integers(0, p - 1), st.just(1)))
+    pool = data.draw(st.lists(root, min_size=1, max_size=4))
+    chosen = [pool[i % len(pool)] for i in data.draw(
+        st.lists(st.integers(0, 3), min_size=4, max_size=4))]
+    factors = [[s, -r] for r, s in chosen]
+    if data.draw(st.booleans()):
+        chosen, factors = chosen[:2], factors[:2] + [[1, 0, -_non_residue(p)]]
+    poly = [data.draw(st.integers(1, p - 1))]
+    for u in factors:
+        poly = [sum(poly[i] * u[k - i] for i in range(len(poly)) if 0 <= k - i < len(u))
+                for k in range(len(poly) + len(u) - 1)]
+    lift = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=5, max_size=5))
+    f = BinaryQuartic(*(c + p * t for c, t in zip(poly, lift)))
+    assert roots_mod_p(f, p) == sorted((r, chosen.count(r)) for r in set(chosen))
 
 
 def test_fp_poly_gcd():

@@ -141,6 +141,18 @@ def test_descent_pipeline():
             assert ok
 
 
+def test_descent_pipeline_at_large_p():
+    # the double root of the resolvent mod p comes from gcd(f, x^p - x)
+    rng = random.Random(6)
+    p = 10 ** 12 + 39
+    for _ in range(5):
+        pair = act(random_integral_group_element(rng, size=3),
+                   random_wp2_instance(p, rng))
+        descended = verify_gamma_descent(pair, p)
+        assert invariants(descended) == invariants(pair)
+        assert in_Wp1(descended, p)[0]
+
+
 def test_sieve_scan_deterministic_and_consistent():
     rows1 = sieve_scan((5, 7), 300, 6, seed=0)
     rows2 = sieve_scan((5, 7), 300, 6, seed=0)
