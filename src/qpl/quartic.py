@@ -342,19 +342,22 @@ def disc_is_zero(f):
 
 
 def _fp_poly_divmod(f, g, p):
-    """Quotient and remainder of coefficient lists (highest first) over F_p."""
-    f = _poly_trim([c % p for c in f])
-    g = _poly_trim([c % p for c in g])
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero mod %d" % p)
+    """Quotient and remainder of coefficient lists (highest first) over F_p.
+    Both are reduced mod p and trimmed, and g is nonzero; so are the
+    results."""
+    n, m = len(f), len(g)
+    if n < m:
+        return [], f
     inv = pow(g[0], -1, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        lead = (f[0] * inv) % p
-        q[len(q) - (len(f) - len(g)) - 1] = lead
-        f = [(c - lead * gc) % p for c, gc in zip(f, g)] + f[len(g):]
-        f = _poly_trim(f[1:])
-    return _poly_trim(q), f
+    r = list(f)
+    q = []
+    for i in range(n - m + 1):
+        lead = r[i] * inv % p
+        q.append(lead)
+        if lead:
+            for j in range(1, m):
+                r[i + j] = (r[i + j] - lead * g[j]) % p
+    return q, _poly_trim(r[n - m + 1:])
 
 
 def fp_poly_gcd(f, g, p):
@@ -370,9 +373,12 @@ def fp_poly_gcd(f, g, p):
 
 
 def _fp_poly_powmod(u, n, m, p):
-    """u^n mod the polynomial m over F_p, by repeated squaring; n >= 1."""
+    """u^n mod the polynomial m over F_p, by repeated squaring; n >= 1.
+    u and m are reduced mod p and trimmed, m nonzero."""
     def mulmod(v, w):
-        return _fp_poly_divmod(_conv(v, w), m, p)[1] if v and w else []
+        if not (v and w):
+            return []
+        return _fp_poly_divmod(_poly_trim([c % p for c in _conv(v, w)]), m, p)[1]
 
     out = [1]
     while n:
@@ -423,6 +429,6 @@ def roots_mod_p(f, p):
     for r in _fp_split_roots(fp_poly_gcd(poly, xp, p), p):
         q, rem, mult = poly, [], -1
         while not rem:
-            (q, rem), mult = _fp_poly_divmod(q, [1, -r], p), mult + 1
+            (q, rem), mult = _fp_poly_divmod(q, [1, -r % p], p), mult + 1
         roots.append(((r, 1), mult))
     return sorted(roots)

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 import random
 
+import numpy as np
+
 from .arith import (PreconditionError, QplError, ext_gcd, is_prime,
                     kernel_mod_p, complete_unimodular, mat_identity)
 from .forms import (COORD_NAMES, GroupElement, PairOfQuadrics, act, coord_columns,
                     invariants, resolvent_coeffs, resolvent_quartic, scaled_discs)
-from .quartic import roots_mod_p
+from .quartic import BinaryQuartic, quartic_invariants, roots_mod_p
 
 
 def _scaled_disc(pair):
@@ -40,6 +42,45 @@ def in_Wp(pair, p):
     return sd % (p * p) == 0
 
 
+def _deep_strata(rows, p):
+    """The deep-stratum test of in_Wp1 on many coordinate rows at once.
+
+    Each row v and its 20 bumps v + p e_t go through one resolvent_coeffs
+    pass.  Returns, per row, (I, J, deep, witness): the invariants of v
+    and in_Wp1's answer for it.  Raises where in_Wp1 raises on any row.
+    """
+    if not rows:
+        return []
+    bumped = []
+    for coords in rows:
+        bumped.append(list(coords))
+        for t in range(20):
+            bumped.append(list(coords))
+            bumped[-1][t] += p
+    integral = all(isinstance(c, int) for coords in rows for c in coords)
+    bound = max(abs(c) for coords in rows for c in coords) + p if integral else None
+    coeffs = resolvent_coeffs(coord_columns(bumped, bound))
+    I, J = quartic_invariants(BinaryQuartic(*(np.asarray(c).astype(object)
+                                              for c in coeffs)))
+    sd = (4 * I ** 3 - J ** 2).reshape(-1, 21)
+    steps = sd[:, 1:] - sd[:, :1]
+    rem = steps % p
+    failed = (rem != 0) | ((steps // p) % p != 0)
+    out = []
+    for k, d0 in enumerate(sd[:, 0]):
+        witness = None
+        if d0 != 0 and d0 % (p * p) != 0:
+            witness = {"reason": "valuation", "direction": None}
+        elif failed[k].any():
+            t = int(failed[k].argmax())
+            if rem[k, t]:
+                # impossible for integral rows
+                raise QplError("finite difference not divisible by p")
+            witness = {"reason": "derivative", "direction": COORD_NAMES[t]}
+        out.append((I[21 * k], J[21 * k], witness is None, witness))
+    return out
+
+
 def in_Wp1(pair, p):
     """Membership in the deep stratum W_p^(1): p^2 | disc and every
     partial derivative of disc vanishes mod p.
@@ -55,22 +96,8 @@ def in_Wp1(pair, p):
     "direction": coordinate_name}.
     """
     _check_prime(p)
-    coords = pair.coords
-    rows = [list(coords)]
-    for t in range(20):
-        rows.append(list(coords))
-        rows[-1][t] += p
-    bound = max(map(abs, coords)) + p if pair.is_integral() else None
-    d0, *bumped = scaled_discs(resolvent_coeffs(coord_columns(rows, bound)))
-    if d0 != 0 and d0 % (p * p) != 0:
-        return False, {"reason": "valuation", "direction": None}
-    for name, d1 in zip(COORD_NAMES, bumped):
-        step = d1 - d0
-        if step % p:
-            raise QplError("finite difference not divisible by p")  # impossible
-        if (step // p) % p:
-            return False, {"reason": "derivative", "direction": name}
-    return True, None
+    (_, _, deep, witness), = _deep_strata([pair.coords], p)
+    return deep, witness
 
 
 def in_Wp2(pair, p):
@@ -87,6 +114,28 @@ def _satisfies_normal_conditions(pair, p):
             and a14 % p == 0 and b11 % p == 0)
 
 
+def _wp2_invariants(pair, p):
+    """(I, J) of a pair that normalize_Wp2 accepts; raises
+    PreconditionError for one outside W_p^(2)."""
+    _check_prime(p)
+    try:
+        (I, J, deep, _), = _deep_strata([pair.coords], p)
+        sd = 4 * I ** 3 - J ** 2
+    except QplError:
+        # in_Wp1 fails only on non-integral pairs; a zero discriminant
+        # is reported first
+        if _scaled_disc(pair) != 0:
+            raise
+        sd = 0
+    if sd == 0:
+        raise PreconditionError("degenerate pair (zero discriminant)")
+    if sd % (p * p):
+        raise PreconditionError("pair is not in W_p at %d" % p)
+    if deep:
+        raise PreconditionError("pair lies in the deep stratum W_p^(1) at %d" % p)
+    return I, J
+
+
 def normalize_Wp2(pair, p):
     """An integral group element Gamma with act(Gamma, pair) satisfying
     (1) p | a12, a13, a14, b11 and (2) p^2 | a11, i.e. the shape on which
@@ -98,13 +147,12 @@ def normalize_Wp2(pair, p):
     vector by an SL_4(Z) change of the ambient basis.  For honest
     W_p^(2) input the remaining congruences hold automatically.
     """
-    _check_prime(p)
-    if _scaled_disc(pair) == 0:
-        raise PreconditionError("degenerate pair (zero discriminant)")
-    if not in_Wp(pair, p):
-        raise PreconditionError("pair is not in W_p at %d" % p)
-    if in_Wp1(pair, p)[0]:
-        raise PreconditionError("pair lies in the deep stratum W_p^(1) at %d" % p)
+    _wp2_invariants(pair, p)
+    return _normal_form(pair, p)
+
+
+def _normal_form(pair, p):
+    """normalize_Wp2 on a pair already known to lie in W_p^(2)."""
     if _satisfies_normal_conditions(pair, p):
         return GroupElement.identity(), pair
 
@@ -117,9 +165,10 @@ def normalize_Wp2(pair, p):
     if g != 1:
         raise QplError("double root lift (%d, %d) is not primitive" % (r, s))
     g2 = [[r, s], [-y, x]]          # det = rx + sy = 1
-    step1 = act(GroupElement(g2, mat_identity(4)), pair)
-    A2 = step1.gram2(0)
-    basis = kernel_mod_p([[v % p for v in row] for row in A2], p)
+    # the leading form after g2 is rA + sB
+    A2 = [[(r * a + s * b) % p for a, b in zip(ra, rb)]
+          for ra, rb in zip(pair.gram2(0), pair.gram2(1))]
+    basis = kernel_mod_p(A2, p)
     if len(basis) != 1:
         raise QplError("leading form has kernel of dimension %d mod %d, expected 1"
                        % (len(basis), p))
@@ -141,14 +190,24 @@ def gamma_p(p):
 def apply_gamma_p(pair, p):
     """act(gamma_p, pair), collapsed back to integer coordinates.
 
-    Integral exactly on the normalized shape: the coordinate effect is
-    a11 -> a11/p^2, a1j -> a1j/p, b11 -> b11/p, b1j -> b1j,
+    Integral exactly on the normalized shape.  Computed by the coordinate
+    effect a11 -> a11/p^2, a1j -> a1j/p, b11 -> b11/p, b1j -> b1j,
     b_ij -> p b_ij (i, j >= 2), with the a_ij (i, j >= 2) unchanged.
     """
-    out = act(gamma_p(p), pair)
+    c = pair.coords
+    out = PairOfQuadrics([_quotient(c[0], p * p)] + [_quotient(v, p) for v in c[1:4]]
+                         + list(c[4:10]) + [_quotient(c[10], p)] + list(c[11:14])
+                         + [p * v for v in c[14:]])
     if not out.is_integral():
         raise QplError("gamma_p image is not integral; normalize first")
-    return out.normalized_integral()
+    return out
+
+
+def _quotient(v, d):
+    """v / d, exact: an int when d divides the integer v."""
+    if isinstance(v, int) and v % d == 0:
+        return v // d
+    return Fraction(1, d) * v
 
 
 def random_wp2_instance(p, rng=None, coeff_bound=9):
@@ -168,15 +227,12 @@ def random_wp2_instance(p, rng=None, coeff_bound=9):
         draw[0] = p * p * rng.randint(-2, 2)
         for j in (1, 2, 3, 10):
             draw[j] = p * rng.randint(-coeff_bound, coeff_bound)
-        pair = PairOfQuadrics(draw)
-        if _scaled_disc(pair) == 0:
-            continue
-        if not in_Wp(pair, p):
+        (I, J, deep, _), = _deep_strata([draw], p)
+        sd = 4 * I ** 3 - J ** 2
+        if sd % (p * p):
             raise QplError("constructed instance escaped W_p")  # impossible
-        deep, _ = in_Wp1(pair, p)
-        if deep:
-            continue
-        return pair
+        if sd != 0 and not deep:
+            return PairOfQuadrics(draw)
 
 
 def random_integral_group_element(rng, size=2):
@@ -204,16 +260,29 @@ def verify_gamma_descent(pair, p):
     """Full pipeline check on one W_p^(2) pair: normalize, apply gamma_p,
     confirm the image is integral, stays in W_p^(1) at p, and has the
     same (I, J).  Returns the descended pair."""
-    _, normalized = normalize_Wp2(pair, p)
-    before = invariants(pair)
-    descended = apply_gamma_p(normalized, p)
-    after = invariants(descended)
-    if (before.I, before.J) != (after.I, after.J):
-        raise QplError("gamma_p changed the invariants")
-    deep, _ = in_Wp1(descended, p)
-    if not deep:
-        raise QplError("gamma_p image escaped W_p^(1)")
+    (descended,) = _descend([pair], [_wp2_invariants(pair, p)], p)
+    if isinstance(descended, QplError):
+        raise descended
     return descended
+
+
+def _descend(pairs, invs, p):
+    """verify_gamma_descent on W_p^(2) pairs whose (I, J) are `invs`, with
+    the images' strata and invariants from one _deep_strata pass.  Returns,
+    per pair, the descended pair or the QplError that stopped it."""
+    out = []
+    for pair in pairs:
+        try:
+            out.append(apply_gamma_p(_normal_form(pair, p)[1], p))
+        except QplError as exc:
+            out.append(exc)
+    done = [k for k, image in enumerate(out) if isinstance(image, PairOfQuadrics)]
+    for k, (I, J, deep, _) in zip(done, _deep_strata([out[k].coords for k in done], p)):
+        if (I, J) != invs[k]:
+            out[k] = QplError("gamma_p changed the invariants")
+        elif not deep:
+            out[k] = QplError("gamma_p image escaped W_p^(1)")
+    return out
 
 
 @dataclass
@@ -243,7 +312,13 @@ def sieve_scan(primes, samples, coeff_bound, seed):
 
     The samples for p are drawn from random.Random("seed:p"), 20
     coordinates at a time; their scaled discriminants come from one
-    resolvent_coeffs pass per block of SIEVE_BLOCK samples."""
+    resolvent_coeffs pass per block of SIEVE_BLOCK samples, the strata of
+    the block's W_p hits from one _deep_strata pass, and the descents of
+    its W_p^(2) hits from one more."""
+    if samples < 0:
+        raise QplError("sieve-scan needs samples >= 0, got %d" % samples)
+    if coeff_bound < 0:
+        raise QplError("sieve-scan needs a coefficient bound >= 0, got %d" % coeff_bound)
     rows = []
     for p in primes:
         _check_prime(p)
@@ -253,20 +328,15 @@ def sieve_scan(primes, samples, coeff_bound, seed):
             block = [[rng.randint(-coeff_bound, coeff_bound) for _ in range(20)]
                      for _ in range(min(SIEVE_BLOCK, samples - start))]
             sds = scaled_discs(resolvent_coeffs(coord_columns(block, coeff_bound)))
-            for draw, sd in zip(block, sds):
-                if sd == 0 or sd % (p * p):
-                    continue
-                pair = PairOfQuadrics(draw)
-                n_wp += 1
-                deep, _ = in_Wp1(pair, p)
-                if deep:
-                    n_wp1 += 1
-                else:
-                    n_wp2 += 1
-                    try:
-                        verify_gamma_descent(pair, p)
-                        n_ok += 1
-                    except QplError:
-                        pass
+            hits = [draw for draw, sd in zip(block, sds) if sd != 0 and sd % (p * p) == 0]
+            shallow, invs = [], []
+            for draw, (I, J, deep, _) in zip(hits, _deep_strata(hits, p)):
+                if not deep:
+                    shallow.append(PairOfQuadrics(draw))
+                    invs.append((I, J))
+            n_wp += len(hits)
+            n_wp1 += len(hits) - len(shallow)
+            n_wp2 += len(shallow)
+            n_ok += sum(isinstance(d, PairOfQuadrics) for d in _descend(shallow, invs, p))
         rows.append(SievePrimeData(p, samples, n_wp, n_wp1, n_wp2, n_ok))
     return rows

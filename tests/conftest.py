@@ -1,13 +1,16 @@
 from itertools import product
 from math import isqrt
+import random
 
 import numpy as np
 
-from qpl import GroupElement, PairOfQuadrics
+from qpl import GroupElement, PairOfQuadrics, invariants
 from qpl.arith import (_PERMS, DegenerateInput, QplError, det_generic, iroot,
                        is_prime, mat_identity, mat_mul)
 from qpl.counting import InvariantPairCount
+from qpl.forms import COORD_NAMES, coord_columns, resolvent_coeffs, scaled_discs
 from qpl.localfp import fp_points_on_intersection
+from qpl.sieve import verify_gamma_descent
 
 
 def random_pair(rng, bound=5):
@@ -15,7 +18,6 @@ def random_pair(rng, bound=5):
 
 
 def random_nondegenerate_pair(rng, bound=5):
-    from qpl import invariants
     while True:
         pair = random_pair(rng, bound)
         if invariants(pair).scaled_disc != 0:
@@ -95,7 +97,6 @@ def stabilizer_order_oracle(pair, p):
     and for each all g4 by row-by-row backtracking against quadric value
     tables over all of F_p^4.  The slow reference for
     qpl.localfp.stabilizer_order_fp."""
-    from qpl import invariants
     if p < 3 or not is_prime(p):
         raise QplError("need a prime p >= 3")
     if not pair.is_integral():
@@ -319,3 +320,53 @@ def roots_mod_p_oracle(f, p):
         if mult:
             roots.append(((r, 1), mult))
     return sorted(roots)
+
+
+def in_Wp1_oracle(pair, p):
+    """qpl.sieve.in_Wp1 one pair at a time: the discriminant at v and at
+    its 20 bumps v + p e_t from one 21-row resolvent pass, then the finite
+    differences (disc(v + p e_t) - disc(v)) / p in coordinate order."""
+    coords = pair.coords
+    rows = [list(coords)]
+    for t in range(20):
+        rows.append(list(coords))
+        rows[-1][t] += p
+    bound = max(map(abs, coords)) + p if pair.is_integral() else None
+    d0, *bumped = scaled_discs(resolvent_coeffs(coord_columns(rows, bound)))
+    if d0 != 0 and d0 % (p * p) != 0:
+        return False, {"reason": "valuation", "direction": None}
+    for name, d1 in zip(COORD_NAMES, bumped):
+        step = d1 - d0
+        if step % p:
+            raise QplError("finite difference not divisible by p")
+        if (step // p) % p:
+            return False, {"reason": "derivative", "direction": name}
+    return True, None
+
+
+def sieve_scan_oracle(primes, samples, coeff_bound, seed):
+    """The csv rows of qpl.sieve.sieve_scan, one sample at a time: the
+    same draws, in_Wp1_oracle on each W_p hit, then verify_gamma_descent
+    on each W_p^(2) hit."""
+    rows = []
+    for p in primes:
+        rng = random.Random("%d:%d" % (seed, p))
+        n_wp = n_wp1 = n_wp2 = n_ok = 0
+        for _ in range(samples):
+            pair = PairOfQuadrics([rng.randint(-coeff_bound, coeff_bound)
+                                   for _ in range(20)])
+            sd = invariants(pair).scaled_disc
+            if sd == 0 or sd % (p * p):
+                continue
+            n_wp += 1
+            if in_Wp1_oracle(pair, p)[0]:
+                n_wp1 += 1
+                continue
+            n_wp2 += 1
+            try:
+                verify_gamma_descent(pair, p)
+                n_ok += 1
+            except QplError:
+                pass
+        rows.append([p, samples, n_wp, n_wp1, n_wp2, n_ok])
+    return rows

@@ -164,6 +164,10 @@ PINNED_STDOUT = [
     pytest.param(["sieve-scan", "--primes", "5,7", "--samples", "500", "--seed", "3"],
                  "e92916336f74555c0afeeb4d796b58c81ab1384c7bccf68d83b478d89fc76172",
                  id="sieve-scan"),
+    pytest.param(["sieve-scan", "--primes", "5,7,11", "--samples", "300", "--bound",
+                  "100000", "--seed", "4"],
+                 "1d6bcaabe48bb72100efce82fe0d7681c19b0e6c43982784e4dba734d3e0aa6d",
+                 id="sieve-scan-object-columns"),
 ]
 
 
@@ -273,6 +277,14 @@ def test_sieve_scan_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["5", "7"]
     for r in rows[1:]:
         assert int(r[2]) == int(r[3]) + int(r[4])
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--bound", "-1")])
+def test_sieve_scan_negative_size_exit_1(tmp_path, capsys, flag, value):
+    code = main(["sieve-scan", "--primes", "5", flag, value, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and value in err and "Traceback" not in err
 
 
 def test_stabilizer_fp(tmp_path, capsys):
