@@ -1,5 +1,5 @@
-"""Shared exact-arithmetic helpers: generic determinants, resultants,
-extended gcd, unimodular completion, mod-p linear algebra.
+"""Shared exact-arithmetic helpers: determinants and inverses of small
+matrices, extended gcd, unimodular completion, mod-p linear algebra.
 
 Everything here is pure Python over ints / Fractions (and duck-types
 through to any coefficient domain supporting +, -, *, ==).
@@ -72,22 +72,18 @@ def mat_eq(A, B):
 
 
 def mat_inv_exact(M):
-    """Exact inverse over the rationals (entries become Fractions)."""
+    """Exact inverse over the rationals (entries become Fractions): the
+    adjugate over the determinant, for sizes 2 to 4."""
     n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise QplError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+    if not 2 <= n <= 4:
+        raise QplError("mat_inv_exact handles sizes 2 to 4, got %d" % n)
+    d = det_generic(M)
+    if d == 0:
+        raise QplError("matrix is singular")
+    def cofactor(i, j):
+        minor = [[M[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        return (-1) ** (i + j) * det_generic(minor)
+    return [[Fraction(cofactor(j, i)) / d for j in range(n)] for i in range(n)]
 
 
 def ext_gcd(a, b):
@@ -179,91 +175,6 @@ def factorize(n):
     if n > 1:
         factors.append((n, 1))
     return factors
-
-
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        return q
-    return a / b
-
-
-def det_bareiss(M):
-    """Exact determinant via fraction-free (Bareiss) elimination.
-
-    Over ints stays in ints; Fractions also fine.  Preferred over the
-    permutation expansion for anything bigger than 4x4 (Sylvester matrices).
-    """
-    A = [list(row) for row in M]
-    n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if piv is None:
-                return A[0][0] * 0
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = _exact_div(A[i][j] * A[k][k] - A[i][k] * A[k][j], prev)
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def leading_principal_minors(M):
-    """The leading principal minors of a square matrix, in order of size, from
-    one fraction-free (Bareiss) elimination without pivoting.  Stops after
-    the first zero minor, past which elimination without pivoting cannot go.
-    """
-    A = [list(row) for row in M]
-    n = len(A)
-    minors = []
-    prev = 1
-    for k in range(n):
-        minors.append(A[k][k])  # after step k-1, A[k][k] is the (k+1)-th minor
-        if A[k][k] == 0:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = _exact_div(A[i][j] * A[k][k] - A[i][k] * A[k][j], prev)
-        prev = A[k][k]
-    return minors
-
-
-def resultant(f, g):
-    """Resultant of two univariate polynomials, coefficient lists highest-first.
-
-    Exact over ints/Fractions (Sylvester determinant).
-    """
-    f = list(f)
-    g = list(g)
-    while f and f[0] == 0:
-        f = f[1:]
-    while g and g[0] == 0:
-        g = g[1:]
-    if not f or not g:
-        return 0
-    m = len(f) - 1
-    n = len(g) - 1
-    if m == 0 and n == 0:
-        return 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    S = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(f):
-            S[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(g):
-            S[n + i][i + j] = c
-    return det_bareiss(S)
 
 
 def complete_unimodular(v):

@@ -220,8 +220,14 @@ def cmd_selmer_bound(args):
     caps = tuple(int(v) for v in args.caps.split(","))
     if len(caps) != 2 or caps[0] < 0 or caps[1] < 0:
         raise QplError("caps must be two nonnegative integers")
-    res = extremal_bound(Fraction(args.target_s2), Fraction(args.target_order4),
-                         caps)
+    targets = []
+    for flag, text in (("--target-s2", args.target_s2),
+                       ("--target-order4", args.target_order4)):
+        try:
+            targets.append(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise QplError("%s must be a rational number, got %r" % (flag, text)) from None
+    res = extremal_bound(*targets, caps)
     return _emit_json(args, "selmer-bound",
                       {"target_s2": args.target_s2,
                        "target_order4": args.target_order4,

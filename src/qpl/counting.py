@@ -232,6 +232,10 @@ def scan_box(bound, samples, seed, predicate_names=("disc_nonzero", "strongly_ir
     the resolvent cannot overflow, exact Python ints otherwise.  A
     predicate named twice counts once.
     """
+    if not 0 <= bound <= 2 ** 63 - 1:
+        raise QplError("scan-box needs a bound in [0, 2^63 - 1], got %d" % bound)
+    if samples < 0:
+        raise QplError("scan-box needs samples >= 0, got %d" % samples)
     if not 1 <= chunk_size <= MAX_CHUNK_ROWS:
         raise QplError("chunk size must be an integer in [1, %d], got %r"
                        % (MAX_CHUNK_ROWS, chunk_size))

@@ -3,8 +3,8 @@
 Invariants I, J, the discriminant as a resultant (27 disc = 4I^3 - J^2
 gives a second route), exact rational root search, Sturm-based real root
 counts, and roots over F_p with multiplicities.  Coefficients may live
-in any commutative ring for the symbolic operations; the root-finding
-operations require exact integers or rationals.
+in any commutative ring for the symbolic operations; resultants and the
+root-finding operations require exact integers or rationals.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .arith import QplError, is_prime, resultant
+from .arith import QplError, is_prime
 
 
 class BinaryQuartic:
@@ -78,28 +78,54 @@ def quartic_invariants(f):
 
 
 def disc_via_resultant(f):
-    """Discriminant via Res(f(x,1), f'(x,1)) / a.
+    """Discriminant via Res(f(x,1), f'(x,1)) / a for exact rationals, with
+    Res(F, F') = D^7 Res(f, f') for the integral F = D f.
 
     When the x^4-coefficient vanishes the form is first moved by the
     unimodular substitution (x, y) -> (x, kx + y) (which leaves the
     discriminant unchanged) until it does not.
     """
-    a, b, c, d, e = f.coeffs()
     if f.is_zero():
         return 0
-    if a == 0:
+    if f.a == 0:
         for k in range(5):
             if f(1, k) != 0:
                 return disc_via_resultant(compose_row(f, [[1, k], [0, 1]]))
         raise AssertionError("nonzero quartic vanished at five points")
-    F = [a, b, c, d, e]
-    dF = [4 * a, 3 * b, 2 * c, d]
-    res = resultant(F, dF)
-    if isinstance(a, int) and isinstance(res, int):
-        q, r = divmod(res, a)
-        if r == 0:
-            return q
-    return res / a
+    F, den = _clear_denominators(f.coeffs())
+    res = resultant(F, [4 * F[0], 3 * F[1], 2 * F[2], F[3]])
+    return res // F[0] if den == 1 else Fraction(res, den ** 6 * F[0])
+
+
+def resultant(f, g):
+    """Res(f, g) of integer polynomials (coefficient lists, highest degree
+    first), by pseudo-remainders (H. Cohen, GTM 138, Sec. 3.3): for
+    deg f = m >= deg g = n > 0 and r = _poly_prem(f, g) of degree d,
+    Res(f, g) = (-1)^(mn) lc(g)^(m-d) |lc g|^(-(m-n+1)n) Res(g, r).  Each r
+    is made primitive, and the |lc g| powers are divided out at the end."""
+    f, g = _poly_trim(list(f)), _poly_trim(list(g))
+    if not f or not g:
+        return 0
+    if len(f) < len(g):
+        return (-1) ** ((len(f) - 1) * (len(g) - 1)) * resultant(g, f)
+    num = den = 1
+    while len(g) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        r = _poly_prem(f, g)
+        if not r:
+            return 0
+        c = gcd(*r)
+        num *= (-1) ** (m * n) * g[0] ** (m - len(r) + 1) * c ** n
+        den *= abs(g[0]) ** ((m - n + 1) * n)
+        f, g = g, [a // c for a in r]
+    return num * g[0] ** (len(f) - 1) // den
+
+
+def _clear_denominators(coeffs):
+    """(D * coeffs, D) for the least D >= 1 that makes the exact rationals
+    coeffs integral; ints have denominator 1 and pass through with D = 1."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def compose_row(f, m):
@@ -158,14 +184,8 @@ def rational_linear_factor(f):
     infinity.  Roots are searched in a fixed order so the result is
     deterministic; any rational root certifies a linear factor over Q.
     """
-    coeffs = f.coeffs()
-    if any(isinstance(c, Fraction) for c in coeffs):
-        lcm = 1
-        for c in coeffs:
-            c = Fraction(c)
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        f = BinaryQuartic(*(int(c * lcm) for c in coeffs))
-    a, b, c, d, e = f.coeffs()
+    a, b, c, d, e = _clear_denominators(f.coeffs())[0]
+    f = BinaryQuartic(a, b, c, d, e)
     if f.is_zero():
         return (1, 0)
     if e == 0:
@@ -230,14 +250,13 @@ def _poly_trim(p):
 
 
 def _poly_prem(f, g):
-    """A positive multiple of the remainder of f by g (integer coefficient
-    lists): each step scales f by |lc(g)| before cancelling its lead."""
+    """|lc g|^(m-n+1) f - q g, a positive multiple of the remainder of f by
+    g, for integer coefficient lists of degrees m >= n (f when m < n)."""
     lc, s = abs(g[0]), _sgn(g[0])
-    while len(f) >= len(g):
+    for _ in range(len(f) - len(g) + 1):
         q = f[0] * s
-        f = _poly_trim([lc * a - q * b for a, b in zip(f[1:], g[1:])]
-                       + [lc * a for a in f[len(g):]])
-    return f
+        f = [lc * a - q * b for a, b in zip(f[1:], g[1:])] + [lc * a for a in f[len(g):]]
+    return _poly_trim(f)
 
 
 def _primitive(p):
@@ -258,9 +277,7 @@ def _sturm_chain(coeffs):
     """Sturm chain of a squarefree polynomial (coeff list, highest degree
     first, exact rationals).  Each member is a positive multiple of the
     classical one, scaled to a primitive integer polynomial."""
-    f = _poly_trim([Fraction(c) for c in coeffs])
-    den = lcm(*(c.denominator for c in f))
-    f = _primitive([int(c * den) for c in f])
+    f = _primitive(_clear_denominators(_poly_trim(list(coeffs)))[0])
     chain = [f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
     while len(chain[-1]) > 1:
         chain.append(_primitive([-c for c in _poly_prem(chain[-2], chain[-1])]))

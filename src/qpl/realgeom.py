@@ -8,8 +8,7 @@ the real roots, Sylvester's criterion for definiteness.
 
 from fractions import Fraction
 
-from .arith import (DegenerateInput, PreconditionError, QplError, iroot,
-                    leading_principal_minors)
+from .arith import DegenerateInput, PreconditionError, QplError, det_generic, iroot
 from .forms import PairOfQuadrics, _as_quartic, resolvent_quartic
 from .quartic import disc_is_zero, real_projective_root_count, real_root_separators
 
@@ -57,9 +56,9 @@ def _is_definite(M):
     """Sylvester: M is positive definite iff its leading principal minors
     are all positive, negative definite iff they alternate in sign starting
     negative."""
-    minors = leading_principal_minors(M)
-    s = (minors[0] > 0) - (minors[0] < 0)
-    return len(minors) == len(M) and all(m * s ** k > 0 for k, m in enumerate(minors, 1))
+    s = (M[0][0] > 0) - (M[0][0] < 0)
+    return all(det_generic([row[:k] for row in M[:k]]) * s ** k > 0
+               for k in range(1, len(M) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from math import isqrt
 import random
 
 import numpy as np
+import sympy
 
 from qpl import GroupElement, PairOfQuadrics, invariants
 from qpl.arith import (_PERMS, DegenerateInput, QplError, det_generic, iroot,
@@ -190,6 +191,28 @@ def disc(f):
             - 4 * a * c**3 * d**2 - 27 * b**4 * e**2
             + 18 * b**3 * c * d * e - 4 * b**3 * d**3
             - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2)
+
+
+def resultant_oracle(f, g):
+    """Res(f, g) of two integer coefficient lists (highest degree first,
+    leading zeros dropped) as the determinant of their Sylvester matrix,
+    by sympy: the slow reference for qpl.quartic.resultant."""
+    f, g = list(f), list(g)
+    while f and f[0] == 0:
+        f = f[1:]
+    while g and g[0] == 0:
+        g = g[1:]
+    if not f or not g:
+        return 0
+    m, n = len(f) - 1, len(g) - 1
+    if m == 0 or n == 0:
+        return f[0] ** n * g[0] ** m
+    S = [[0] * (m + n) for _ in range(m + n)]
+    for i in range(n):
+        S[i][i:i + m + 1] = f
+    for i in range(m):
+        S[n + i][i:i + n + 1] = g
+    return int(sympy.Matrix(S).det())
 
 
 def is_minimal(A, B):

@@ -8,9 +8,10 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 from qpl.arith import (MR_LIMIT, PreconditionError, QplError, complete_unimodular,
-                       det_bareiss, det_generic, ext_gcd, factorize, iroot,
-                       is_prime, kernel_mod_p, mat_identity, mat_inv_exact,
-                       mat_mul, resultant, valuation)
+                       det_generic, ext_gcd, factorize, iroot, is_prime,
+                       kernel_mod_p, mat_identity, mat_inv_exact, mat_mul,
+                       valuation)
+from qpl.quartic import resultant
 
 from conftest import is_prime_oracle
 
@@ -22,7 +23,6 @@ def test_det_against_sympy():
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expected = int(sympy.Matrix(M).det())
         assert det_generic(M) == expected
-        assert det_bareiss(M) == expected
 
 
 def test_det_generic_sizes():
@@ -133,6 +133,22 @@ def test_mat_inv_exact_roundtrip():
             continue
         inv = mat_inv_exact(M)
         assert mat_mul(M, inv) == mat_identity(n, one=Fraction(1), zero=Fraction(0))
+
+
+@pytest.mark.parametrize("M", [
+    [[1, 2], [2, 4]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[Fraction(1, 2), 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 3, 3]],
+], ids=["2x2", "3x3", "4x4-fractions"])
+def test_mat_inv_exact_singular(M):
+    with pytest.raises(QplError, match="singular"):
+        mat_inv_exact(M)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_mat_inv_exact_sizes(n):
+    with pytest.raises(QplError, match="sizes 2 to 4"):
+        mat_inv_exact(mat_identity(n))
 
 
 def test_resultant_sign_convention():

@@ -18,6 +18,19 @@ SYM3 = "1 0 0 0 1 0 0 1 0 1 0 2 0 0 0 2 0 0 2 0"
 CHAR3_ORDER3 = "2 5 0 -3 5 4 -5 -2 -3 4 0 5 -4 5 -3 -4 3 3 4 -2"
 # the same pair as DIAG mod 5
 DIAG_HUGE = " ".join([str(1 + 5 * 10 ** 30)] + DIAG.split()[1:])
+# B - 99999 A is positive definite, so there is no real common zero.
+# The resolvent has a = 0: [1:0] is a root, the other three lie within
+# 3 of -10^5, and the rational-root search returns at once.
+CLUSTERED = "1 2 0 0 1 0 0 1 0 1 100000 200000 0 0 200001 0 0 100002 0 100003"
+# The first pair of each real class drawn by random.Random(2026) with
+# coordinates in [-5, 5], skipping zero discriminants; class 0 twice,
+# with a definite pencil member (not R-soluble) and without (R-soluble).
+SEEDED_CLASS = {
+    "0-definite": "4 1 2 -3 2 -2 -4 5 2 5 2 3 -1 3 1 5 -1 3 5 3",
+    "0-soluble": "1 3 4 2 1 3 -1 1 4 2 3 3 -5 4 -2 -3 -5 3 5 -4",
+    "1": "-4 0 3 3 5 -4 -2 4 4 3 1 4 3 2 4 2 -2 -5 4 -4",
+    "2": "-3 -3 3 -5 5 3 5 3 1 -1 -3 -2 -5 -5 -1 3 2 1 -1 0",
+}
 
 
 def run(capsys, argv):
@@ -49,11 +62,7 @@ def test_classify(tmp_path, capsys):
 
 
 def test_classify_clustered_roots(tmp_path, capsys):
-    # B - 99999 A is positive definite, so there is no real common zero.
-    # The resolvent has a = 0: [1:0] is a root, the other three lie within
-    # 3 of -10^5, and the rational-root search returns at once.
-    pair = "1 2 0 0 1 0 0 1 0 1 100000 200000 0 0 200001 0 0 100002 0 100003"
-    code, obj = run_json(capsys, ["classify", pair, "--out-dir", str(tmp_path)])
+    code, obj = run_json(capsys, ["classify", CLUSTERED, "--out-dir", str(tmp_path)])
     assert code == 0
     assert obj["real_class"] == 0
     assert obj["R_soluble"] is False
@@ -146,6 +155,28 @@ def test_scan_box_bad_chunk_size_exit_1(tmp_path, capsys, chunk_size):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value, limit", [
+    ("--bound", str(10 ** 19), "2^63 - 1"),
+    ("--bound", str(2 ** 63), "2^63 - 1"),
+    ("--bound", "-1", "2^63 - 1"),
+    ("--samples", "-5", "samples >= 0"),
+])
+def test_scan_box_out_of_range_exit_1(tmp_path, capsys, flag, value, limit):
+    argv = {"--bound": "3", "--samples": "10", flag: value}
+    code = main(["scan-box", *(x for kv in argv.items() for x in kv),
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert limit in err and value in err
+
+
+def test_scan_box_largest_bound(tmp_path, capsys):
+    code, obj = run_json(capsys, ["scan-box", "--bound", str(2 ** 63 - 1), "--samples",
+                                  "4", "--out-dir", str(tmp_path)])
+    assert code == 0 and obj["samples"] == 4
+
+
 # sha256 of stdout, recorded before the scans were batched into columns
 PINNED_STDOUT = [
     pytest.param(["scan-box", "--bound", "5", "--samples", "3000", "--seed", "7"],
@@ -168,6 +199,29 @@ PINNED_STDOUT = [
                   "100000", "--seed", "4"],
                  "1d6bcaabe48bb72100efce82fe0d7681c19b0e6c43982784e4dba734d3e0aa6d",
                  id="sieve-scan-object-columns"),
+    # classify: recorded while Bareiss elimination still gave the leading
+    # minors of the definiteness test
+    pytest.param(["classify", DIAG],
+                 "641341182b33b97c2f5137cade89f2717a7808ddc02d14999cdf9e9bdd919334",
+                 id="classify-diag"),
+    pytest.param(["classify", SYM3],
+                 "3fd1f50af39564ac3018e53b9b5288b148fb679247b9a886ab36c32d5f02c6b1",
+                 id="classify-sym3"),
+    pytest.param(["classify", CLUSTERED],
+                 "0c9a7b6feb030619d1069263716d1db2b3f85e89a1704292e89db3e0305e9313",
+                 id="classify-clustered-roots"),
+    pytest.param(["classify", SEEDED_CLASS["0-definite"]],
+                 "3fd1f50af39564ac3018e53b9b5288b148fb679247b9a886ab36c32d5f02c6b1",
+                 id="classify-class-0-definite"),
+    pytest.param(["classify", SEEDED_CLASS["0-soluble"]],
+                 "dff9d164c81f74e9bfdc9e456c5da519a63724a018e2aa151497815575f22e89",
+                 id="classify-class-0-soluble"),
+    pytest.param(["classify", SEEDED_CLASS["1"]],
+                 "5388ddcd3dd221bfc833619dce576d6b2fdb2450baa179a55bc9d38befaca3b3",
+                 id="classify-class-1"),
+    pytest.param(["classify", SEEDED_CLASS["2"]],
+                 "365540496f0a78a76e0f346fbde26232867456460df2ff76b880026f2a792730",
+                 id="classify-class-2"),
 ]
 
 
@@ -364,6 +418,18 @@ def test_selmer_bound(tmp_path, capsys):
                                     "--out-dir", str(tmp_path)])
     assert code2 == 0
     assert obj2["status"] == "infeasible"
+
+
+@pytest.mark.parametrize("flag, text", [("--target-s2", "1/0"),
+                                        ("--target-order4", "four")])
+def test_selmer_bound_bad_target_exit_1(tmp_path, capsys, flag, text):
+    argv = {"--target-s2": "3", "--target-order4": "4", flag: text}
+    code = main(["selmer-bound", *(x for kv in argv.items() for x in kv),
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert flag in err and text in err
 
 
 def test_verify_identities(tmp_path, capsys):

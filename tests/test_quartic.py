@@ -11,10 +11,10 @@ from qpl.forms import coord_columns, resolvent_coeffs
 from qpl.quartic import (BinaryQuartic, compose_row, disc_is_zero,
                          disc_via_resultant, fp_poly_gcd, quartic_invariants,
                          rational_linear_factor, real_projective_root_count,
-                         root_free_mask, roots_mod_p)
+                         resultant, root_free_mask, roots_mod_p)
 from qpl.realgeom import real_class
 
-from conftest import disc, roots_mod_p_oracle
+from conftest import disc, resultant_oracle, roots_mod_p_oracle
 
 X, Y = sympy.symbols("x y")
 
@@ -44,6 +44,42 @@ def test_disc_routes_agree():
     for _ in range(300):
         f = BinaryQuartic(*(rng.randint(-8, 8) for _ in range(5)))
         assert disc(f) == disc_via_resultant(f)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ((Fraction(1, 2), 0, Fraction(-3, 4), 0, 1), Fraction(529, 32)),
+    ((0, Fraction(1, 3), 0, 1, Fraction(2, 5)), Fraction(-136, 675)),   # a = 0
+])
+def test_disc_via_resultant_fractions(coeffs, expected):
+    f = BinaryQuartic(*coeffs)
+    assert disc_via_resultant(f) == disc(f) == expected
+
+
+_BIG = st.one_of(st.integers(-10, 10), st.integers(-10 ** 40, 10 ** 40))
+_POLY = st.lists(_BIG, min_size=0, max_size=7)   # degrees up to 6, leading zeros allowed
+
+
+def _times_linear(cofactor, r, s):
+    """(s x - r) times the cofactor: a polynomial with the root r/s."""
+    out = [0] * (len(cofactor) + 1)
+    for i, c in enumerate(cofactor):
+        out[i] += s * c
+        out[i + 1] -= r * c
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLY, _POLY, st.booleans(), st.integers(-10 ** 20, 10 ** 20),
+       st.integers(1, 10 ** 20))
+@example([0, 0, 1, -2], [0, 1, -2], False, 0, 1)
+@example([0, 0], [1, 2], False, 0, 1)
+@example([3], [0, 0, 5], False, 0, 1)
+@example([2, 0, 1], [-7], False, 0, 1)
+def test_resultant_matches_sylvester_oracle(f, g, common_root, r, s):
+    if common_root:
+        f, g = _times_linear(f[:5], r, s), _times_linear(g[:5], r, s)
+        assert resultant(f, g) == 0
+    assert resultant(f, g) == resultant_oracle(f, g)
 
 
 def test_disc_against_sympy():

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qpl import PairOfQuadrics, act, GroupElement, invariants, resolvent_quartic
 from qpl.arith import DegenerateInput, PreconditionError
 from qpl.quartic import BinaryQuartic
-from qpl.realgeom import is_R_soluble, real_class, representative_L
+from qpl.realgeom import _is_definite, is_R_soluble, real_class, representative_L
 from qpl.selmer import solve_equality_lp
 
 from conftest import random_unimodular4
@@ -99,6 +100,58 @@ def test_definite_pair_insoluble():
 
 def test_0sharp_representative_soluble():
     assert is_R_soluble(representative_L("0#", (2, 3, 5)))
+
+
+def _congruent_diagonal(rng, diag, frac):
+    """P^T diag(d) P for a random integer (or, with frac, rational) P, which
+    may be singular: symmetric, and semidefinite when all d share a sign."""
+    def entry():
+        n = rng.randint(-3, 3)
+        return Fraction(n, rng.randint(1, 4)) if frac else n
+    P = [[entry() for _ in range(4)] for _ in range(4)]
+    return [[sum(P[k][i] * diag[k] * P[k][j] for k in range(4)) for j in range(4)]
+            for i in range(4)]
+
+
+def _definiteness_cases():
+    rng = random.Random(21)
+    cases = [[[0, 0, 0, 0]] * 4,
+             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],   # leading minor 0
+             [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],   # semidefinite
+             [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],   # second minor 0
+             [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]]
+    for k in range(240):
+        frac = k % 2 == 1
+        sign = rng.choice((1, -1))
+        shape = k % 4
+        if shape == 0:      # definite when P is invertible
+            diag = [sign * rng.randint(1, 5) for _ in range(4)]
+        elif shape == 1:    # semidefinite, singular
+            diag = [sign * rng.randint(0, 5) for _ in range(3)] + [0]
+        elif shape == 2:    # indefinite
+            diag = [rng.randint(1, 5), -rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(2)]
+        else:               # symmetric, entries independent
+            M = [[0] * 4 for _ in range(4)]
+            for i in range(4):
+                for j in range(i, 4):
+                    M[i][j] = M[j][i] = rng.randint(-4, 4) * (Fraction(1, 3) if frac else 1)
+            cases.append(M)
+            continue
+        cases.append(_congruent_diagonal(rng, diag, frac))
+    return cases
+
+
+def test_is_definite_against_sympy():
+    seen = set()
+    for M in _definiteness_cases():
+        S = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                          for row in M])
+        expected = S.is_positive_definite or S.is_negative_definite
+        assert _is_definite(M) == expected
+        seen.add((expected, S.det() == 0, S[0, 0] == 0))
+    # definite and not, singular and not, a zero corner entry among the indefinite
+    assert {(True, False, False), (False, True, False), (False, False, False),
+            (False, False, True), (False, True, True)} <= seen
 
 
 def _diag_pair_soluble_oracle(a, b):
