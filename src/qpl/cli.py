@@ -106,6 +106,18 @@ def _parse_pair(text):
     return PairOfQuadrics.from_string(text)
 
 
+def _parse_ints(flag, text):
+    """The comma-separated integers of a flag's value."""
+    vals = []
+    for item in text.split(","):
+        try:
+            vals.append(int(item))
+        except ValueError:
+            raise QplError("%s needs comma-separated integers, got %r"
+                           % (flag, item)) from None
+    return vals
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -186,7 +198,7 @@ def cmd_curves(args):
 
 
 def cmd_sieve_scan(args):
-    primes = [int(p) for p in args.primes.split(",")]
+    primes = _parse_ints("--primes", args.primes)
     seed = _resolve_seed(args)
     rows = sieve_scan(primes, args.samples, args.bound, seed)
     return _emit_csv(args, "sieve-scan",
@@ -217,7 +229,7 @@ def cmd_qp_solve(args):
 
 
 def cmd_selmer_bound(args):
-    caps = tuple(int(v) for v in args.caps.split(","))
+    caps = tuple(_parse_ints("--caps", args.caps))
     if len(caps) != 2 or caps[0] < 0 or caps[1] < 0:
         raise QplError("caps must be two nonnegative integers")
     targets = []

@@ -49,11 +49,12 @@ class PairOfQuadrics:
         if len(parts) != 20:
             raise QplError("pair serialization needs 20 entries, got %d" % len(parts))
         vals = []
-        for t in parts:
-            if "/" in t:
-                vals.append(Fraction(t))
-            else:
-                vals.append(int(t))
+        for pos, t in enumerate(parts, 1):
+            try:
+                vals.append(Fraction(t) if "/" in t else int(t))
+            except (ValueError, ZeroDivisionError):
+                raise QplError("pair entry %d is not an integer or a fraction "
+                               "p/q with q != 0: %r" % (pos, t)) from None
         return cls(vals)
 
     @classmethod

@@ -1,8 +1,9 @@
 """Local arithmetic at a prime p: points of the quadric intersection over
 F_p, Q_p-solubility by breadth-first Hensel refinement, the stabilizer of
-a pair inside the group over F_p (a resolvent filter over GL_2(F_p), then
-a mod-p kernel of linear equations for the GL_4 part), and 4-torsion
-counts of the associated elliptic curve by 2-descent.
+a pair inside the group over F_p (a resolvent filter over the classes of
+PGL_2(F_p), then one mod-p kernel of linear equations per class for the
+GL_4 part, searched up to scalars), and 4-torsion counts of the
+associated elliptic curve by 2-descent.
 
 The quadric values and Jacobian minors come from one ring-generic
 evaluator, PairOfQuadrics.q_values / jacobian_minors: the point scan runs
@@ -27,11 +28,13 @@ from .quartic import BinaryQuartic, compose_row, roots_mod_p
 from .forms import invariants, resolvent_quartic
 
 # Most rows of any array built over F_p: the p^3 + p^2 + p + 1 points of
-# P^3(F_p) (p <= 61), the p^4 elements of the GL_2(F_p) filter of the
-# stabilizer (p <= 19) and the p^k kernel combinations of one g2 (k <= 4).
-# Checked before the array is built; at the limit a process peaks near
-# 100 MB, and every prime the tests and perfbench use stays below it.
+# P^3(F_p), as many classes of PGL_2(F_p) in the stabilizer's filter, and
+# the (p^k - 1)/(p - 1) projective g4 candidates of one class (k <= 4), so
+# p <= 61 for both the point scan and the stabilizer.  Checked before the
+# array is built.  The stabilizer evaluates its rows _FP_BLOCK at a time,
+# so its temporaries stay a few MB whatever p is.
 MAX_FP_ROWS = 2 ** 18
+_FP_BLOCK = 2 ** 13
 
 
 def _check_fp_rows(n, what):
@@ -40,22 +43,34 @@ def _check_fp_rows(n, what):
                        "MAX_FP_ROWS = %d" % (what, n, MAX_FP_ROWS))
 
 
-def proj_point_array(p):
-    """All p^3 + p^2 + p + 1 canonical representatives of P^3(F_p):
-    first nonzero coordinate equal to 1, as an (N, 4) int64 array."""
-    _check_fp_rows(p ** 3 + p ** 2 + p + 1, "the point scan of P^3(F_%d)" % p)
+def _projective_reps(p, n, what):
+    """The (p^n - 1)/(p - 1) canonical representatives of P^(n-1)(F_p),
+    first nonzero coordinate equal to 1, as an (N, n) int64 array; what
+    names the work in the error raised above MAX_FP_ROWS."""
+    _check_fp_rows((p ** n - 1) // (p - 1), what)
     blocks = []
-    for lead in range(4):
-        tail = 3 - lead
+    for lead in range(n):
+        tail = n - 1 - lead
         if tail:
             grid = np.indices((p,) * tail).reshape(tail, -1).T
         else:
             grid = np.zeros((1, 0), dtype=np.int64)
-        block = np.zeros((grid.shape[0], 4), dtype=np.int64)
+        block = np.zeros((grid.shape[0], n), dtype=np.int64)
         block[:, lead] = 1
         block[:, lead + 1:] = grid
         blocks.append(block)
     return np.vstack(blocks)
+
+
+def _row_blocks(rows):
+    """rows in consecutive slices of at most _FP_BLOCK rows."""
+    return (rows[lo:lo + _FP_BLOCK] for lo in range(0, len(rows), _FP_BLOCK))
+
+
+def proj_point_array(p):
+    """All p^3 + p^2 + p + 1 canonical representatives of P^3(F_p):
+    first nonzero coordinate equal to 1, as an (N, 4) int64 array."""
+    return _projective_reps(p, 4, "the point scan of P^3(F_%d)" % p)
 
 
 def fp_points_on_intersection(pair, p):
@@ -156,25 +171,36 @@ def qp_soluble(pair, p, depth=None):
 def stabilizer_order_fp(pair, p):
     """Order of the stabilizer of the pair in the group over F_p.
 
-    The pair is reduced mod p first, so no numpy array sees a large
-    integer.  One numpy evaluation of compose_row over all of GL_2(F_p)
-    keeps the g2 with f(.g2) = det(g2)^2 f, a necessary condition for
-    (g2, *) to stabilize.  For each survivor, with (C, D) the
-    g2-combination of (2A, 2B), a stabilizing g4 solves g4 C g4^T = 2A
-    and g4 D g4^T = 2B; with H = g4^{-T} these become the linear
-    equations g4 C = 2A H, g4 D = 2B H, whose kernel is taken mod p.  As
-    f is not 0 mod p, no kernel vector has a zero g4-part, so the g4-parts
-    are independent; as f is squarefree mod p they span at most 4
-    dimensions.  All of their <= p^4 combinations are tested at once
-    against the two quadric equations and det(g2) det(g4) = 1.  The raw
-    pair count is divided by the (p-1) central scalings.
+    The group is GL_2 x GL_4 with det(g2) det(g4) = 1, modulo the p - 1
+    scalings (l^-2, l), so each of its elements is counted once as a pair
+    (class of g2 up to scalars, g4 up to scalars).  The pair is reduced
+    mod p first, so no numpy array sees a large integer.
+
+    g2 -> l g2 multiplies both f(.g2) and det(g2)^2 by l^4, so one numpy
+    evaluation of compose_row over the p^3 + p^2 + p + 1 classes of
+    PGL_2(F_p) (first nonzero entry 1) keeps those with
+    f(.g2) = det(g2)^2 f, a necessary condition for (g2, *) to stabilize.
+    For each survivor, with (C, D) the g2-combination of (2A, 2B), a
+    stabilizing g4 solves g4 C g4^T = 2A and g4 D g4^T = 2B; with
+    H = g4^{-T} these become the linear equations g4 C = 2A H,
+    g4 D = 2B H, whose kernel is taken mod p once per class (scaling g2
+    scales H and leaves the g4-parts alone).  As f is not 0 mod p, no
+    kernel vector has a zero g4-part, so the g4-parts are independent; as
+    f is squarefree mod p they span k <= 4 dimensions.
+
+    The candidates X run over the (p^k - 1)/(p - 1) projective
+    coefficient vectors of that span.  X is accepted when some c != 0
+    gives X C X^T = c 2A, X D X^T = c 2B and det(g2) det(X) = c^2; then
+    (c^-1 g2, X) stabilizes, and it is the only element of the group
+    with that class and that X up to scalars.  So the order is the number
+    of accepted (class, X) pairs.
 
     Every intermediate stays below about 10^3 p^5, inside int64 for every
-    p with p^4 <= MAX_FP_ROWS, which is checked first.
+    p the work limit admits (p <= 61), which is checked first.
     """
     if p < 3 or not is_prime(p):
         raise QplError("need a prime p >= 3")
-    _check_fp_rows(p ** 4, "the GL_2(F_%d) filter" % p)
+    classes = _projective_reps(p, 4, "the PGL_2(F_%d) classes" % p)
     if not pair.is_integral():
         raise QplError("stabilizer count needs integral coordinates")
     inv = invariants(pair)
@@ -184,22 +210,22 @@ def stabilizer_order_fp(pair, p):
     A2 = np.array(pair.gram2(0), dtype=np.int64) % p
     B2 = np.array(pair.gram2(1), dtype=np.int64) % p
     f_mod = resolvent_quartic(pair).reduce_mod(p)
-    r, s, t, u = np.indices((p,) * 4).reshape(4, -1)
-    det2 = (r * u - s * t) % p
-    keep = det2 != 0
-    for lhs, c in zip(compose_row(f_mod, [[r, s], [t, u]]).coeffs(),
-                      f_mod.coeffs()):
-        keep &= (lhs - det2 * det2 * c) % p == 0
-    raw = sum(_count_g4_solutions(g2, A2, B2, p)
-              for g2 in zip(r[keep], s[keep], t[keep], u[keep]))
-    if raw % (p - 1):
-        raise QplError("raw stabilizer count %d not divisible by p-1" % raw)
-    return raw // (p - 1)
+    order = 0
+    for block in _row_blocks(classes):
+        r, s, t, u = block.T
+        det2 = (r * u - s * t) % p
+        keep = det2 != 0
+        for lhs, c in zip(compose_row(f_mod, [[r, s], [t, u]]).coeffs(),
+                          f_mod.coeffs()):
+            keep &= (lhs - det2 * det2 * c) % p == 0
+        order += sum(_count_projective_g4(g2, A2, B2, p) for g2 in block[keep])
+    return order
 
 
-def _count_g4_solutions(g2, A2, B2, p):
-    """Number of g4 with g4 C g4^T = 2A, g4 D g4^T = 2B and det condition,
-    where (C, D) is the g2-combination of (2A, 2B)."""
+def _count_projective_g4(g2, A2, B2, p):
+    """Number of X up to scalars with X C X^T = c 2A, X D X^T = c 2B and
+    det(g2) det(X) = c^2 for some c != 0, where (C, D) is the
+    g2-combination of (2A, 2B)."""
     r, s, t, u = (int(v) for v in g2)
     det2 = (r * u - s * t) % p
     C = (r * A2 + s * B2) % p
@@ -213,14 +239,28 @@ def _count_g4_solutions(g2, A2, B2, p):
     k = len(basis)
     if k == 0:
         return 0
-    _check_fp_rows(p ** k, "the g4 kernel of dimension %d" % k)
-    coeffs = np.indices((p,) * k).reshape(k, -1).T
-    X = (coeffs @ basis[:, :16] % p).reshape(-1, 4, 4)
-    Xt = X.transpose(0, 2, 1)
-    ok = (((X @ C % p) @ Xt % p == A2).all(axis=(1, 2))
-          & ((X @ D % p) @ Xt % p == B2).all(axis=(1, 2)))
-    d4 = det_generic([[X[:, i, j] for j in range(4)] for i in range(4)])
-    return int((ok & (det2 * d4 % p == 1)).sum())
+    coeffs = _projective_reps(p, k, "the g4 candidates of a %d-dimensional "
+                              "kernel" % k)
+    # 2A is not 0 mod p (else f = det(2B) y^4 mod p), so one nonzero
+    # entry (i, j) of it fixes c; a first cut on that entry and on the
+    # same entry of X D X^T leaves about 1/p of the candidates
+    i, j = (int(v) for v in np.argwhere(A2)[0])
+    a_inv = pow(int(A2[i, j]), -1, p)
+    count = 0
+    for block in _row_blocks(coeffs):
+        X = (block @ basis[:, :16] % p).reshape(-1, 4, 4)
+        XCi = X[:, i] @ C % p
+        XDi = X[:, i] @ D % p
+        c = (XCi * X[:, j]).sum(axis=1) % p * a_inv % p
+        cut = ((c != 0)
+               & ((XDi * X[:, j]).sum(axis=1) % p == c * B2[i, j] % p))
+        X, c = X[cut], c[cut][:, None, None]
+        Xt = X.transpose(0, 2, 1)
+        ok = (((X @ C % p) @ Xt % p == c * A2 % p).all(axis=(1, 2))
+              & ((X @ D % p) @ Xt % p == c * B2 % p).all(axis=(1, 2)))
+        d4 = det_generic([[X[:, a, b] for b in range(4)] for a in range(4)])
+        count += int((ok & (det2 * d4 % p == c[:, 0, 0] ** 2 % p)).sum())
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import sympy
 
 from qpl import GroupElement, PairOfQuadrics, invariants
 from qpl.arith import (_PERMS, DegenerateInput, QplError, det_generic, iroot,
-                       is_prime, mat_identity, mat_mul)
+                       is_prime, kernel_mod_p, mat_identity, mat_mul)
 from qpl.counting import InvariantPairCount
-from qpl.forms import COORD_NAMES, coord_columns, resolvent_coeffs, scaled_discs
-from qpl.localfp import fp_points_on_intersection
+from qpl.forms import (COORD_NAMES, coord_columns, resolvent_coeffs,
+                       resolvent_quartic, scaled_discs)
+from qpl.localfp import _check_fp_rows, fp_points_on_intersection
+from qpl.quartic import compose_row
 from qpl.sieve import verify_gamma_descent
 
 
@@ -95,9 +97,15 @@ def random_group_element(rng, bound=5, g4_steps=4, entry_bound=None):
 
 def stabilizer_order_oracle(pair, p):
     """Stabilizer order over F_p by exhaustive scan: every g2 in GL_2(F_p),
-    and for each all g4 by row-by-row backtracking against quadric value
-    tables over all of F_p^4.  The slow reference for
-    qpl.localfp.stabilizer_order_fp."""
+    and for each all g4 by row-by-row backtracking over all of F_p^4.  The
+    slow reference for qpl.localfp.stabilizer_order_fp.
+
+    One table K[v, w] = p (v^T 2A w) + (v^T 2B w) mod p codes both Gram
+    values of every pair of vectors.  The rows w_i of g4 must satisfy
+    (w_i^T C w_j, w_i^T D w_j) = (2A_ij, 2B_ij) with (C, D) the
+    g2-combination of (2A, 2B), i.e. K[w_i, w_j] = the code of
+    g2^{-1} (2A_ij, 2B_ij), so each step of the search is one row of K
+    compared with one target code."""
     if p < 3 or not is_prime(p):
         raise QplError("need a prime p >= 3")
     if not pair.is_integral():
@@ -107,56 +115,112 @@ def stabilizer_order_oracle(pair, p):
         raise DegenerateInput("discriminant vanishes mod %d" % p)
     A2 = np.array(pair.gram2(0), dtype=np.int64) % p
     B2 = np.array(pair.gram2(1), dtype=np.int64) % p
-    V = np.indices((p,) * 4).reshape(4, -1).T.astype(np.int64)  # all of F_p^4
+    V = np.indices((p,) * 4).reshape(4, -1).T.astype(np.int16)  # all of F_p^4
+    K = (p * ((V @ A2.astype(np.int16) % p) @ V.T % p)
+         + (V @ B2.astype(np.int16) % p) @ V.T % p)     # entries < p^2
+    diag = {code: np.flatnonzero(K.diagonal() == code) for code in range(p * p)}
     raw = 0
     for g2 in product(range(p), repeat=4):
         r, s, t, u = g2
-        if (r * u - s * t) % p:
-            raw += _count_g4_backtracking(g2, A2, B2, V, p)
+        det2 = (r * u - s * t) % p
+        if det2:
+            d_inv = pow(det2, -1, p)
+            target = [[int(p * ((u * A2[i, j] - s * B2[i, j]) * d_inv % p)
+                           + (r * B2[i, j] - t * A2[i, j]) * d_inv % p)
+                       for j in range(4)] for i in range(4)]
+            raw += _count_g4_by_table(K, diag, target, det2, V, p)
     if raw % (p - 1):
         raise QplError("raw stabilizer count %d not divisible by p-1" % raw)
     return raw // (p - 1)
 
 
-def _count_g4_backtracking(g2, A2, B2, V, p):
+def _count_g4_by_table(K, diag, target, det2, V, p):
+    """Number of row tuples (w_1, .., w_4) of F_p^4 with
+    K[w_i, w_j] = target[i][j] for all i <= j and det(g2) det(g4) = 1."""
+    count = 0
+    c2, c3, c4 = (diag[target[i][i]] for i in (1, 2, 3))
+    for i1 in diag[target[0][0]]:
+        for i2 in c2[K[i1, c2] == target[0][1]]:
+            for i3 in c3[(K[i1, c3] == target[0][2]) & (K[i2, c3] == target[1][2])]:
+                for i4 in c4[(K[i1, c4] == target[0][3]) & (K[i2, c4] == target[1][3])
+                             & (K[i3, c4] == target[2][3])]:
+                    g4 = [list(map(int, V[i])) for i in (i1, i2, i3, i4)]
+                    if det2 * det_generic(g4) % p == 1:
+                        count += 1
+    return count
+
+
+def stabilizer_order_gl2_oracle(pair, p):
+    """Order of the stabilizer of the pair in the group over F_p, by a
+    filter over all of GL_2(F_p) and all p^k kernel combinations per g2:
+    the slow reference for qpl.localfp.stabilizer_order_fp at p <= 19,
+    which counts one representative per scalar class on both sides.
+
+    The pair is reduced mod p first, so no numpy array sees a large
+    integer.  One numpy evaluation of compose_row over all of GL_2(F_p)
+    keeps the g2 with f(.g2) = det(g2)^2 f, a necessary condition for
+    (g2, *) to stabilize.  For each survivor, with (C, D) the
+    g2-combination of (2A, 2B), a stabilizing g4 solves g4 C g4^T = 2A
+    and g4 D g4^T = 2B; with H = g4^{-T} these become the linear
+    equations g4 C = 2A H, g4 D = 2B H, whose kernel is taken mod p.  As
+    f is not 0 mod p, no kernel vector has a zero g4-part, so the g4-parts
+    are independent; as f is squarefree mod p they span at most 4
+    dimensions.  All of their <= p^4 combinations are tested at once
+    against the two quadric equations and det(g2) det(g4) = 1.  The raw
+    pair count is divided by the (p-1) central scalings.
+
+    Every intermediate stays below about 10^3 p^5, inside int64 for every
+    p with p^4 <= MAX_FP_ROWS, which is checked first.
+    """
+    if p < 3 or not is_prime(p):
+        raise QplError("need a prime p >= 3")
+    _check_fp_rows(p ** 4, "the GL_2(F_%d) filter" % p)
+    if not pair.is_integral():
+        raise QplError("stabilizer count needs integral coordinates")
+    inv = invariants(pair)
+    if inv.disc % p == 0:     # disc, not 27*disc: 3 | scaled_disc always
+        raise DegenerateInput("discriminant vanishes mod %d" % p)
+    pair = pair.reduce_mod(p)
+    A2 = np.array(pair.gram2(0), dtype=np.int64) % p
+    B2 = np.array(pair.gram2(1), dtype=np.int64) % p
+    f_mod = resolvent_quartic(pair).reduce_mod(p)
+    r, s, t, u = np.indices((p,) * 4).reshape(4, -1)
+    det2 = (r * u - s * t) % p
+    keep = det2 != 0
+    for lhs, c in zip(compose_row(f_mod, [[r, s], [t, u]]).coeffs(),
+                      f_mod.coeffs()):
+        keep &= (lhs - det2 * det2 * c) % p == 0
+    raw = sum(_count_g4_solutions(g2, A2, B2, p)
+              for g2 in zip(r[keep], s[keep], t[keep], u[keep]))
+    if raw % (p - 1):
+        raise QplError("raw stabilizer count %d not divisible by p-1" % raw)
+    return raw // (p - 1)
+
+
+def _count_g4_solutions(g2, A2, B2, p):
     """Number of g4 with g4 C g4^T = 2A, g4 D g4^T = 2B and det condition,
     where (C, D) is the g2-combination of (2A, 2B)."""
-    r, s, t, u = g2
+    r, s, t, u = (int(v) for v in g2)
     det2 = (r * u - s * t) % p
     C = (r * A2 + s * B2) % p
     D = (t * A2 + u * B2) % p
-    VC = V @ C % p          # row i = V[i] C  (C symmetric)
-    VD = V @ D % p
-    QC = (VC * V).sum(axis=1) % p
-    QD = (VD * V).sum(axis=1) % p
-    w1_idx = np.nonzero((QC == A2[0, 0]) & (QD == B2[0, 0]))[0]
-    if len(w1_idx) == 0:
+    # unknowns (vec X, vec H) row-major: vec(X C) = (1 (x) C^T) vec X and
+    # vec(2A H) = (2A (x) 1) vec H
+    eye = np.eye(4, dtype=np.int64)
+    M = np.block([[np.kron(eye, C.T), -np.kron(A2, eye)],
+                  [np.kron(eye, D.T), -np.kron(B2, eye)]]) % p
+    basis = np.array(kernel_mod_p(M.tolist(), p), dtype=np.int64)
+    k = len(basis)
+    if k == 0:
         return 0
-    L1C = V @ VC[w1_idx].T % p   # (p^4, k): column j = values . C w1_j
-    L1D = V @ VD[w1_idx].T % p
-    count = 0
-    for j, i1 in enumerate(w1_idx):
-        m2 = ((L1C[:, j] == A2[1, 0]) & (L1D[:, j] == B2[1, 0])
-              & (QC == A2[1, 1]) & (QD == B2[1, 1]))
-        for i2 in np.nonzero(m2)[0]:
-            l2c = V @ VC[i2] % p
-            l2d = V @ VD[i2] % p
-            m3 = ((L1C[:, j] == A2[2, 0]) & (L1D[:, j] == B2[2, 0])
-                  & (l2c == A2[2, 1]) & (l2d == B2[2, 1])
-                  & (QC == A2[2, 2]) & (QD == B2[2, 2]))
-            for i3 in np.nonzero(m3)[0]:
-                l3c = V @ VC[i3] % p
-                l3d = V @ VD[i3] % p
-                m4 = ((L1C[:, j] == A2[3, 0]) & (L1D[:, j] == B2[3, 0])
-                      & (l2c == A2[3, 1]) & (l2d == B2[3, 1])
-                      & (l3c == A2[3, 2]) & (l3d == B2[3, 2])
-                      & (QC == A2[3, 3]) & (QD == B2[3, 3]))
-                for i4 in np.nonzero(m4)[0]:
-                    g4 = [list(map(int, V[i])) for i in (i1, i2, i3, i4)]
-                    d4 = det_generic(g4) % p
-                    if d4 and (det2 * d4) % p == 1:
-                        count += 1
-    return count
+    _check_fp_rows(p ** k, "the g4 kernel of dimension %d" % k)
+    coeffs = np.indices((p,) * k).reshape(k, -1).T
+    X = (coeffs @ basis[:, :16] % p).reshape(-1, 4, 4)
+    Xt = X.transpose(0, 2, 1)
+    ok = (((X @ C % p) @ Xt % p == A2).all(axis=(1, 2))
+          & ((X @ D % p) @ Xt % p == B2).all(axis=(1, 2)))
+    d4 = det_generic([[X[:, i, j] for j in range(4)] for i in range(4)])
+    return int((ok & (det2 * d4 % p == 1)).sum())
 
 
 def count_invariant_pairs_naive(X):

@@ -122,6 +122,30 @@ def test_bad_pair_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, entry", [("classify", "1/0"),
+                                            ("invariants", "1.5")])
+def test_bad_pair_entry_exit_1(tmp_path, capsys, command, entry):
+    code = main([command, " ".join([entry] + ["0"] * 19),
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "entry 1 " in err and repr(entry) in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["selmer-bound", "--target-s2", "3", "--target-order4", "4",
+      "--caps", "1,x"], "--caps"),
+    (["sieve-scan", "--primes", "5,x", "--samples", "10"], "--primes"),
+])
+def test_bad_int_list_exit_1(tmp_path, capsys, argv, flag):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert flag in captured.err and "'x'" in captured.err
+
+
 def test_scan_box_seed_precedence(tmp_path, capsys, monkeypatch):
     base = ["scan-box", "--bound", "3", "--samples", "64",
             "--out-dir", str(tmp_path)]
@@ -395,7 +419,7 @@ def test_qp_solve_prime_below_2_exit_1(tmp_path, capsys, prime):
 
 
 @pytest.mark.parametrize("argv, rows", [
-    (["stabilizer-fp", DIAG, "--prime", "211"], 211 ** 4),
+    (["stabilizer-fp", DIAG, "--prime", "211"], 211 ** 3 + 211 ** 2 + 212),
     (["qp-solve", DIAG, "--prime", "1009"], 1009 ** 3 + 1009 ** 2 + 1010),
 ])
 def test_fp_work_over_limit_exit_1(tmp_path, capsys, argv, rows):

@@ -23,7 +23,8 @@ from qpl.quartic import BinaryQuartic, compose_row, quartic_invariants
 from conftest import (curve_points, ec_add, ec_mul,
                       four_torsion_from_group_order, four_torsion_oracle,
                       jacobian_four_torsion_oracle, random_nondegenerate_pair,
-                      random_pair, stabilizer_order_oracle)
+                      random_pair, stabilizer_order_gl2_oracle,
+                      stabilizer_order_oracle)
 
 
 DIAG = PairOfQuadrics.from_named(a11=1, a22=1, a33=1, a44=1,
@@ -125,15 +126,14 @@ def test_point_scan_rejects_bad_input():
 
 
 def test_fp_arrays_respect_work_limit():
-    # the largest accepted primes: 61 for the point scan, 19 for the
-    # stabilizer's GL_2 filter; the next primes are refused before any
-    # array is built
+    # 61 is the largest accepted prime for both the point scan of P^3(F_p)
+    # and the stabilizer's PGL_2(F_p) classes, as many rows each; 67 is
+    # refused before any array is built
     assert 61 ** 3 + 61 ** 2 + 62 <= MAX_FP_ROWS < 67 ** 3
-    assert 19 ** 4 <= MAX_FP_ROWS < 23 ** 4
     with pytest.raises(QplError, match="%d rows" % (67 ** 3 + 67 ** 2 + 68)):
         proj_point_array(67)
-    with pytest.raises(QplError, match="%d rows" % 23 ** 4):
-        stabilizer_order_fp(DIAG, 23)
+    with pytest.raises(QplError, match="%d rows" % (67 ** 3 + 67 ** 2 + 68)):
+        stabilizer_order_fp(DIAG, 67)
 
 
 # -- p-adic solubility ------------------------------------------------------
@@ -206,6 +206,32 @@ def test_stabilizer_matches_oracle():
     orders = [stabilizer_order_fp(pair, p) for pair, p in cases]
     assert orders == [stabilizer_order_oracle(pair, p) for pair, p in cases]
     assert orders[:4] == [8, 4, 3, 12]
+
+
+def _seeded_pairs_off(p, n, seed):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < n:
+        pair = random_nondegenerate_pair(rng)
+        if invariants(pair).disc % p:
+            pairs.append(pair)
+    return pairs
+
+
+def test_stabilizer_matches_gl2_oracle():
+    # the full GL_2(F_p) filter with every p^k kernel combination, where
+    # the exhaustive oracle is out of reach
+    for p, n in ((11, 3), (13, 1)):
+        for pair in _seeded_pairs_off(p, n, seed=p):
+            assert stabilizer_order_fp(pair, p) == \
+                stabilizer_order_gl2_oracle(pair, p), (p, pair)
+
+
+@pytest.mark.parametrize("p", [13, 17, 19, 23, 29, 31, 37, 53, 61])
+def test_stabilizer_equals_four_torsion_large_p(p):
+    # the identity away from characteristics 2 and 3, up to the work limit
+    pair, = _seeded_pairs_off(p, 1, seed=p)
+    assert stabilizer_order_fp(pair, p) == jacobian_four_torsion(pair, p)
 
 
 @given(st.sampled_from([3, 5, 7]), _coords, _shifts)
