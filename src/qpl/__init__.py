@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 
 from .arith import DegenerateInput, PreconditionError, QplError
 from .quartic import (BinaryQuartic, compose_row, disc_via_resultant,
-                      quartic_invariants, rational_linear_factor,
-                      real_projective_root_count, roots_mod_p)
+                      quartic_invariants, rational_linear_factor, roots_mod_p)
 from .forms import (COORD_NAMES, GroupElement, InvariantPair, PairOfQuadrics,
                     act, invariants, is_strongly_irreducible,
                     reducibility_case, resolvent_quartic,

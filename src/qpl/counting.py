@@ -17,7 +17,7 @@ import numpy as np
 from .arith import QplError, factorize, iroot
 from .forms import (COORD_NAMES, coord_columns, cusp_mask, resolvent_coeffs,
                     scaled_discs)
-from .quartic import BinaryQuartic, rational_linear_factor, root_free_mask
+from .quartic import _root_search, root_free_mask
 
 # ---------------------------------------------------------------------------
 # torus weights
@@ -171,8 +171,7 @@ class _ChunkColumns:
         runs only on the rows the local root sieve cannot certify."""
         out = np.zeros(len(self.coords[0]), dtype=bool)
         for i in np.flatnonzero(~root_free_mask(self.coeffs)).tolist():
-            f = BinaryQuartic(*(int(c[i]) for c in self.coeffs))
-            out[i] = rational_linear_factor(f) is not None
+            out[i] = _root_search(*(int(c[i]) for c in self.coeffs)) is not None
         return out
 
 

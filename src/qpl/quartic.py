@@ -1,10 +1,10 @@
 """Binary quartic forms f(x,y) = a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4.
 
 Invariants I, J, the discriminant as a resultant (27 disc = 4I^3 - J^2
-gives a second route), exact rational root search, Sturm-based real root
-counts, and roots over F_p with multiplicities.  Coefficients may live
-in any commutative ring for the symbolic operations; resultants and the
-root-finding operations require exact integers or rationals.
+gives a second route), rational roots (a sieve mod small primes, then an
+exact search), Sturm isolation of real roots, and roots over F_p with
+multiplicities.  Coefficients may live in any commutative ring for the
+symbolic operations; resultants and root finding need exact rationals.
 """
 
 from fractions import Fraction
@@ -181,10 +181,16 @@ def rational_linear_factor(f):
     """The projective rational root [r:s] of f, or None.
 
     Returned normalized: gcd(r,s) = 1, s > 0, or (1, 0) for the root at
-    infinity.  Roots are searched in a fixed order so the result is
-    deterministic; any rational root certifies a linear factor over Q.
+    infinity.  The divisor search runs in a fixed order, and only when
+    root_free_mask cannot certify f root-free.
     """
-    a, b, c, d, e = _clear_denominators(f.coeffs())[0]
+    F = _clear_denominators(f.coeffs())[0]
+    return None if root_free_mask([[c] for c in F])[0] else _root_search(*F)
+
+
+def _root_search(a, b, c, d, e):
+    """rational_linear_factor of integer coefficients by trying divisors
+    of a against divisors of e, with no sieve."""
     f = BinaryQuartic(a, b, c, d, e)
     if f.is_zero():
         return (1, 0)
@@ -224,9 +230,11 @@ def root_free_mask(coeffs):
     whenever f is nonzero mod p, so a certified row has none.  A row left
     uncertified may have one or not.  The coefficients are reduced mod the
     product of the primes first, so the work is in int64 whatever the
-    dtype of the columns.
+    dtype of the columns; other columns (plain lists) are read as exact ints.
     """
-    F = (np.stack(coeffs) % _SIEVE_MODULUS).astype(np.int64)
+    F = np.stack([c if getattr(c, "dtype", None) in (np.int64, object)
+                  else np.array(c, dtype=object) for c in coeffs])
+    F = (F % _SIEVE_MODULUS).astype(np.int64)
     certified = np.zeros(F.shape[1], dtype=bool)
     todo = np.arange(F.shape[1])
     for p in ROOT_SIEVE_PRIMES:
@@ -240,7 +248,7 @@ def root_free_mask(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# real roots (Sturm chains of integer polynomials)
+# real root isolation (Sturm chains of integer polynomials)
 
 
 def _poly_trim(p):
@@ -293,15 +301,6 @@ def _hval(p, n, d):
     return acc
 
 
-def real_root_count_poly(coeffs):
-    """Number of distinct real roots of a squarefree polynomial (coeff list,
-    highest degree first, exact rationals)."""
-    chain = _sturm_chain(coeffs)
-    at_plus = [_sgn(p[0]) for p in chain]
-    at_minus = [_sgn(p[0]) * (-1) ** (len(p) - 1) for p in chain]
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
-
-
 def real_root_separators(coeffs):
     """Rationals s_0 < r_1 < s_1 < ... < r_k < s_k interleaving the k distinct
     real roots r_i of a squarefree polynomial (coeff list, highest degree
@@ -338,14 +337,6 @@ def real_root_separators(coeffs):
     seps = [lo]
     split(lo, hi, variations(lo), variations(hi))
     return [Fraction(n, d) for n, d in seps]
-
-
-def real_projective_root_count(f):
-    """Distinct real roots of the binary quartic in P^1(R); requires disc != 0."""
-    n = real_root_count_poly(f.coeffs())
-    if f.a == 0:
-        n += 1  # the root at infinity [1:0]
-    return n
 
 
 def disc_is_zero(f):

@@ -2,15 +2,15 @@
 solubility of the pair over R, and the standard orbit representatives for
 each real class.
 
-Everything is exact: Sturm chains for the root classes and for isolating
-the real roots, Sylvester's criterion for definiteness.
+Everything is exact: the root class from signs of invariants, Sturm
+chains for isolating real roots, Sylvester's criterion for definiteness.
 """
 
 from fractions import Fraction
 
 from .arith import DegenerateInput, PreconditionError, QplError, det_generic, iroot
 from .forms import PairOfQuadrics, _as_quartic, resolvent_quartic
-from .quartic import disc_is_zero, real_projective_root_count, real_root_separators
+from .quartic import quartic_invariants, real_root_separators
 
 
 def real_class(pair_or_quartic):
@@ -18,12 +18,22 @@ def real_class(pair_or_quartic):
 
     (So 4 - 2*real_class roots are real, counting the root at infinity.)
     Raises DegenerateInput when the discriminant vanishes.
+
+    By J. E. Cremona, Classical invariants and 2-descent on elliptic
+    curves (J. Symbolic Comput. 31, 2001): two roots are real when
+    4I^3 - J^2 < 0.  When it is > 0, all four are real if H = 8ac - 3b^2 < 0
+    and H^2 > 16 a^2 I, and none otherwise; with a = 0 that holds, as
+    disc != 0 then forces b != 0 (and [1:0] is a real root).
     """
     f = _as_quartic(pair_or_quartic)
-    if disc_is_zero(f):
+    I, J = quartic_invariants(f)
+    scaled_disc = 4 * I ** 3 - J ** 2
+    if scaled_disc == 0:
         raise DegenerateInput("resolvent has vanishing discriminant")
-    n_real = real_projective_root_count(f)
-    return (4 - n_real) // 2
+    if scaled_disc < 0:
+        return 1
+    H = 8 * f.a * f.c - 3 * f.b ** 2
+    return 0 if H < 0 and H * H > 16 * f.a ** 2 * I else 2
 
 
 def is_R_soluble(pair):

@@ -1,5 +1,5 @@
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 import random
 
 import numpy as np
@@ -12,7 +12,8 @@ from qpl.counting import InvariantPairCount
 from qpl.forms import (COORD_NAMES, coord_columns, resolvent_coeffs,
                        resolvent_quartic, scaled_discs)
 from qpl.localfp import _check_fp_rows, fp_points_on_intersection
-from qpl.quartic import compose_row
+from qpl.quartic import (BinaryQuartic, _clear_denominators, _divisors, _sgn,
+                         _sign_changes, _sturm_chain, compose_row, disc_is_zero)
 from qpl.sieve import verify_gamma_descent
 
 
@@ -255,6 +256,44 @@ def disc(f):
             - 4 * a * c**3 * d**2 - 27 * b**4 * e**2
             + 18 * b**3 * c * d * e - 4 * b**3 * d**3
             - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2)
+
+
+def rational_root_oracle(f):
+    """The projective rational root [r:s] of f, or None, by the divisor
+    search alone: the slow reference for qpl.quartic.rational_linear_factor
+    and for the local root sieve it runs first.
+
+    Returned normalized: gcd(r,s) = 1, s > 0, or (1, 0) for the root at
+    infinity.  Roots are searched in a fixed order so the result is
+    deterministic; any rational root certifies a linear factor over Q.
+    """
+    a, b, c, d, e = _clear_denominators(f.coeffs())[0]
+    f = BinaryQuartic(a, b, c, d, e)
+    if f.is_zero():
+        return (1, 0)
+    if e == 0:
+        return (0, 1)
+    if a == 0:
+        return (1, 0)
+    for s in _divisors(a):
+        for r0 in _divisors(e):
+            for r in (r0, -r0):
+                if gcd(r0, s) == 1 and f(r, s) == 0:
+                    return (r, s)
+    return None
+
+
+def real_class_oracle(f):
+    """The real class (4 - #real roots in P^1(R)) / 2 of a binary quartic
+    with disc != 0, by Sturm's theorem on f(x, 1), plus the root [1:0]
+    when a = 0: the slow reference for qpl.realgeom.real_class."""
+    if disc_is_zero(f):
+        raise DegenerateInput("resolvent has vanishing discriminant")
+    chain = _sturm_chain(f.coeffs())
+    at_plus = [_sgn(p[0]) for p in chain]
+    at_minus = [_sgn(p[0]) * (-1) ** (len(p) - 1) for p in chain]
+    n = _sign_changes(at_minus) - _sign_changes(at_plus) + (f.a == 0)
+    return (4 - n) // 2
 
 
 def resultant_oracle(f, g):

@@ -5,12 +5,16 @@ import csv
 import hashlib
 import io
 import json
+import random
 import time
 
 import pytest
 
+from qpl import BinaryQuartic, PairOfQuadrics, is_strongly_irreducible
 from qpl.arith import MR_LIMIT
 from qpl.cli import main
+
+from conftest import disc, real_class_oracle, resolvent_oracle
 
 DIAG = "1 0 0 0 1 0 0 1 0 1 1 0 0 0 2 0 0 3 0 4"
 SYM3 = "1 0 0 0 1 0 0 1 0 1 0 2 0 0 0 2 0 0 2 0"
@@ -31,6 +35,15 @@ SEEDED_CLASS = {
     "1": "-4 0 3 3 5 -4 -2 4 4 3 1 4 3 2 4 2 -2 -5 4 -4",
     "2": "-3 -3 3 -5 5 3 5 3 1 -1 -3 -2 -5 -5 -1 3 2 1 -1 0",
 }
+
+
+# random.Random(7): 20 pairs each with coordinates in [-10^4, 10^4],
+# [-10^12, 10^12] and [-10^30, 10^30], drawn in that order.
+_RNG = random.Random(7)
+LARGE_PAIRS = [" ".join(str(_RNG.randint(-b, b)) for _ in range(20))
+               for b in (10 ** 4, 10 ** 12, 10 ** 30) for _ in range(20)]
+# class 0 and not R-soluble: a definite pencil member at |coords| <= 10^30
+HUGE_CLASS_0 = LARGE_PAIRS[50]
 
 
 def run(capsys, argv):
@@ -66,6 +79,21 @@ def test_classify_clustered_roots(tmp_path, capsys):
     assert code == 0
     assert obj["real_class"] == 0
     assert obj["R_soluble"] is False
+
+
+def test_classify_is_total_on_large_pairs(tmp_path, capsys):
+    # The local root sieve certifies all 60 resolvents root-free, so no
+    # divisor search runs; on a pair it left, that search would run to
+    # the square roots of the resolvent's end coefficients.
+    for text in LARGE_PAIRS:
+        start = time.perf_counter()
+        code, obj = run_json(capsys, ["classify", text, "--out-dir", str(tmp_path)])
+        assert code == 0 and time.perf_counter() - start < 0.5, text
+        pair = PairOfQuadrics.from_string(text)
+        assert obj["strongly_irreducible"] == is_strongly_irreducible(pair), text
+        f = BinaryQuartic(*resolvent_oracle(pair.coords))
+        assert obj["disc_zero"] == (disc(f) == 0)
+        assert obj["real_class"] == real_class_oracle(f), text
 
 
 def test_classify_degenerate(tmp_path, capsys):
@@ -246,6 +274,11 @@ PINNED_STDOUT = [
     pytest.param(["classify", SEEDED_CLASS["2"]],
                  "365540496f0a78a76e0f346fbde26232867456460df2ff76b880026f2a792730",
                  id="classify-class-2"),
+    # resolvent and real class checked against resolvent_oracle and
+    # real_class_oracle; the payload, and so the digest, is class 0-definite's
+    pytest.param(["classify", HUGE_CLASS_0],
+                 "3fd1f50af39564ac3018e53b9b5288b148fb679247b9a886ab36c32d5f02c6b1",
+                 id="classify-1e30-class-0-definite"),
 ]
 
 

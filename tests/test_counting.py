@@ -19,9 +19,9 @@ from qpl.counting import (HAAR_EXPONENTS, MAX_CHUNK_ROWS, PREDICATES, coordinate
 from qpl.forms import (COORD_NAMES, PairOfQuadrics, invariants,
                        is_strongly_irreducible, reducibility_case,
                        resolvent_coeffs, resolvent_quartic)
-from qpl.quartic import rational_linear_factor
 
-from conftest import count_invariant_pairs_naive, enumerate_curves_oracle, is_minimal
+from conftest import (count_invariant_pairs_naive, enumerate_curves_oracle, is_minimal,
+                      rational_root_oracle)
 
 
 # -- torus weights ----------------------------------------------------------
@@ -112,8 +112,7 @@ def documented_rows(bound, samples, seed, chunk_size):
 RECOUNT = {
     "disc_nonzero": lambda pair: invariants(pair).scaled_disc != 0,
     "strongly_irreducible": is_strongly_irreducible,
-    "rational_root": lambda pair:
-        rational_linear_factor(resolvent_quartic(pair)) is not None,
+    "rational_root": lambda pair: rational_root_oracle(resolvent_quartic(pair)) is not None,
     "cusp_condition": lambda pair: reducibility_case(pair) is not None,
     "positive_disc": lambda pair: invariants(pair).scaled_disc > 0,
     "negative_disc": lambda pair: invariants(pair).scaled_disc < 0,

@@ -10,11 +10,12 @@ from qpl.arith import MR_LIMIT, DegenerateInput, QplError, is_prime
 from qpl.forms import coord_columns, resolvent_coeffs
 from qpl.quartic import (BinaryQuartic, compose_row, disc_is_zero,
                          disc_via_resultant, fp_poly_gcd, quartic_invariants,
-                         rational_linear_factor, real_projective_root_count,
-                         resultant, root_free_mask, roots_mod_p)
+                         rational_linear_factor, resultant, root_free_mask,
+                         roots_mod_p)
 from qpl.realgeom import real_class
 
-from conftest import disc, resultant_oracle, roots_mod_p_oracle
+from conftest import (disc, rational_root_oracle, real_class_oracle, resultant_oracle,
+                      roots_mod_p_oracle)
 
 X, Y = sympy.symbols("x y")
 
@@ -150,12 +151,11 @@ def test_rational_linear_factor_fraction_coeffs():
 
 def test_real_root_counts():
     # (x^2+y^2)(x^2+4y^2): no real roots -> 2 conjugate pairs
-    f = BinaryQuartic(1, 0, 5, 0, 4)
-    assert real_projective_root_count(f) == 0
+    assert 4 - 2 * real_class(BinaryQuartic(1, 0, 5, 0, 4)) == 0
     # x y (x^2 + y^2): two real, one pair
-    assert real_projective_root_count(BinaryQuartic(0, 1, 0, 1, 0)) == 2
+    assert 4 - 2 * real_class(BinaryQuartic(0, 1, 0, 1, 0)) == 2
     # (x+y)(x+2y)(x+3y)(x+4y): all real
-    assert real_projective_root_count(BinaryQuartic(1, 10, 35, 50, 24)) == 4
+    assert 4 - 2 * real_class(BinaryQuartic(1, 10, 35, 50, 24)) == 4
 
 
 def test_real_root_counts_against_numpy():
@@ -169,8 +169,45 @@ def test_real_root_counts_against_numpy():
         roots = np.roots([float(c) for c in f.coeffs()])
         n_real = sum(1 for r in roots if abs(r.imag) < 1e-7)
         want = n_real + (1 if f.a == 0 else 0)    # point at infinity
-        assert real_projective_root_count(f) == want, f
+        assert 4 - 2 * real_class(f) == want, f
         checked += 1
+
+
+_BIG = st.integers(-10 ** 40, 10 ** 40)
+_SMALL = st.integers(-6, 6)
+_ROOT_COORD = st.integers(-10 ** 10, 10 ** 10)
+
+
+def _real_rooted(roots):
+    """The binary quartic with the real projective roots [r:s] (r, s from
+    the list), as the product of the four linear forms s x - r y."""
+    f = [1]
+    for r, s in roots:
+        f = [s * u - r * v for u, v in zip(f + [0], [0] + f)]
+    return BinaryQuartic(*f)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.lists(st.one_of(_SMALL, _BIG), min_size=5, max_size=5),
+    st.tuples(st.just(0), _BIG, _BIG, _BIG, _BIG).map(list),
+    st.tuples(_BIG, _BIG, _BIG, _BIG, st.just(0)).map(list),
+    st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6),
+             min_size=5, max_size=5),
+    st.lists(st.tuples(_ROOT_COORD, st.one_of(st.just(0), _ROOT_COORD)),
+             min_size=4, max_size=4)
+    .map(lambda roots: _real_rooted(roots).coeffs()),
+))
+@example([0, 1, 0, -1, 0])             # xy(x - y)(x + y): a = 0, four real
+@example([1, 0, 0, 0, 1])             # x^4 + y^4: none real
+@example([1, 10, 35, 50, 24])         # four real, a != 0
+def test_real_class_closed_form_matches_sturm(coeffs):
+    f = BinaryQuartic(*coeffs)
+    if disc_is_zero(f):
+        with pytest.raises(DegenerateInput):
+            real_class(f)
+    else:
+        assert real_class(f) == real_class_oracle(f)
 
 
 def test_real_classification_degenerate_flag():
@@ -342,7 +379,31 @@ def test_root_free_mask_certifies_most_resolvents():
     mask = root_free_mask(coeffs)
     for i in np.flatnonzero(mask):
         f = BinaryQuartic(*(int(c[i]) for c in coeffs))
-        assert rational_linear_factor(f) is None
+        assert rational_root_oracle(f) is None
     assert mask.sum() > 240
     # x^4 + y^4 has no root mod 3
     assert root_free_mask([np.array([1]), *[np.array([0])] * 3, np.array([1])]).all()
+
+
+def test_root_free_mask_reads_plain_ints_exactly():
+    # [1:1] is a root; as plain lists numpy would read the column of
+    # a >= 2^63 as uint64 and the negative ones as int64, and stack both
+    # as float64
+    row = [9223372135806584605, -4611687032497775756, -4611685103308808839, -51, 41]
+    assert BinaryQuartic(*row)(1, 1) == 0
+    assert not root_free_mask([[c] for c in row]).any()
+
+
+_ROOT_SMALL = st.integers(-60, 60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(_ROOT_SMALL, min_size=5, max_size=5),
+    st.tuples(st.tuples(_ROOT_SMALL, _ROOT_SMALL),
+              st.lists(_ROOT_SMALL, min_size=4, max_size=4))
+    .map(lambda t: _with_root(*t[0], t[1])),
+))
+def test_rational_linear_factor_matches_divisor_search(coeffs):
+    f = BinaryQuartic(*coeffs)
+    assert rational_linear_factor(f) == rational_root_oracle(f)
